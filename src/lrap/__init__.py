@@ -26,7 +26,7 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .linalg import LowRankFactors, matmul, qr_thin, svd_truncated
+from .linalg import LowRankFactors, qr_thin, svd_truncated
 from .methods import (
     IterateState,
     MethodSpec,

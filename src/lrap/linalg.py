@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LowRankFactors", "as_matrix", "matmul", "qr_thin", "svd_truncated"]
+__all__ = ["LowRankFactors", "as_matrix", "qr_thin", "svd_truncated"]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -81,15 +81,6 @@ class LowRankFactors:
         if self.sigma is None:
             return self.u @ self.v.T
         return (self.u * self.sigma) @ self.v.T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with a shape check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def qr_thin(a) -> tuple[np.ndarray, np.ndarray]:

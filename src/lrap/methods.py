@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .linalg import LowRankFactors, as_matrix, qr_thin, svd_truncated
-from .metrics import IterationRecord, iteration_record
+from .metrics import IterationRecord, iteration_record, target_norms
 from .projections import NONNEGATIVE, BoxBounds, project_box
 from .sketching import (
     SketchSpec,
@@ -189,7 +189,7 @@ def _project_tangent(x: np.ndarray, factors: LowRankFactors, spec: MethodSpec) -
 def _project_hmt(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
     n = x.shape[1]
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
-    z1 = apply_sketch_right(x, psi)
+    z1 = apply_sketch_right(x, psi, check_finite=False)
     q, r_factor = qr_thin(z1)
     _check_triangular(r_factor, "hmt range sketch")
     for _ in range(spec.p):
@@ -208,12 +208,12 @@ def _project_tropp(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowR
     m, n = x.shape
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
     phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
-    z = apply_sketch_right(x, psi)
+    z = apply_sketch_right(x, psi, check_finite=False)
     q, _ = qr_thin(z)
-    w = apply_sketch_left(phi, q)
+    w = apply_sketch_left(phi, q, check_finite=False)
     p_factor, t_factor = qr_thin(w)
     _check_triangular(t_factor, "tropp co-range sketch")
-    g = solve_triangular(t_factor, p_factor.T @ apply_sketch_left(phi, x))
+    g = solve_triangular(t_factor, p_factor.T @ apply_sketch_left(phi, x, check_finite=False))
     small = svd_truncated(g, spec.r)
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
 
@@ -222,11 +222,11 @@ def _project_gn(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRank
     m, n = x.shape
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.r)
     phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
-    z = apply_sketch_right(x, psi)
-    w = apply_sketch_left(phi, z)
+    z = apply_sketch_right(x, psi, check_finite=False)
+    w = apply_sketch_left(phi, z, check_finite=False)
     q, r_factor = qr_thin(w)
     _check_triangular(r_factor, "gn core sketch")
-    v = apply_sketch_left(phi, x).T @ q
+    v = apply_sketch_left(phi, x, check_finite=False).T @ q
     u = solve_triangular(r_factor.T, z.T, lower=True).T
     return LowRankFactors(u=u, v=v, sigma=None)
 
@@ -318,8 +318,9 @@ def run_method(
         a sigma-less pair is re-factorized with a truncated SVD first;
         factors that do carry sigma are assumed to be an SVD.
     target : ndarray, optional
-        Reference for the relative-error columns of the trace.  Defaults to
-        the densified initial iterate.
+        Reference for the relative-error columns of the trace, of the
+        iterate's shape and nonzero; its norms are computed once per run.
+        Defaults to the densified initial iterate.
     on_iteration : callable, optional
         Invoked with each :class:`IterationRecord` as it is produced.
 
@@ -333,7 +334,9 @@ def run_method(
     """
     if y0.rank > spec.r:
         raise ValueError(f"initial factors have rank {y0.rank} > target rank {spec.r}")
-    factors = y0
+    # Rebuilding validates again arrays written to since y0 was built, which
+    # the loop's project_box would catch only if there is an iteration.
+    factors = LowRankFactors(y0.u, y0.v, y0.sigma)
     if spec.method == "tangent" and factors.sigma is None:
         factors = svd_truncated(factors.reconstruct(), spec.r)
     dense = factors.reconstruct()
@@ -341,6 +344,9 @@ def run_method(
         target = dense.copy()
     else:
         target = as_matrix(target, "target")
+        if target.shape != dense.shape:
+            raise ValueError(f"shape mismatch: {target.shape} vs {dense.shape}")
+    norms = target_norms(target)
 
     trace: list[IterationRecord] = []
     for i in range(1, spec.s + 1):
@@ -350,7 +356,7 @@ def run_method(
         except SketchCollapseError:
             factors = _project(x, factors, spec, iteration_seed=sub_seed(i, _RETRY))
         dense = factors.reconstruct()
-        record = iteration_record(i, target, dense, spec.box)
+        record = iteration_record(i, target, dense, spec.box, norms=norms)
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)

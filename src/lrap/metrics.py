@@ -3,6 +3,7 @@ and normalized singular spectra."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,6 +19,7 @@ __all__ = [
     "iteration_record",
     "normalized_spectrum",
     "relative_errors",
+    "target_norms",
     "violation_stats",
 ]
 
@@ -50,6 +52,21 @@ class IterationRecord:
     over_density: float
 
 
+def target_norms(target: np.ndarray) -> tuple[float, float]:
+    """``||T||_F`` and ``max|T|`` of a finite float64 target; raises if it is zero."""
+    frobenius = np.linalg.norm(target)
+    if frobenius == 0.0:
+        raise ValueError("target matrix is zero; relative errors are undefined")
+    return frobenius, max(target.max(), -target.min())
+
+
+def _errors(diff: np.ndarray, norms: tuple[float, float]) -> tuple[float, float]:
+    # max|d| as max(max d, -min d) needs no |d| temporary; abs() gives the
+    # +0.0 of |d| when d holds only zeros, some of them -0.0.
+    chebyshev = abs(max(diff.max(), -diff.min()))
+    return float(np.linalg.norm(diff) / norms[0]), float(chebyshev / norms[1])
+
+
 def relative_errors(target, approx) -> tuple[float, float]:
     """Relative Frobenius and Chebyshev errors of ``approx`` against ``target``.
 
@@ -59,12 +76,27 @@ def relative_errors(target, approx) -> tuple[float, float]:
     approx = as_matrix(approx, "approx")
     if target.shape != approx.shape:
         raise ValueError(f"shape mismatch: {target.shape} vs {approx.shape}")
-    norm_fro = np.linalg.norm(target)
-    norm_cheb = np.abs(target).max()
-    if norm_fro == 0.0:
-        raise ValueError("target matrix is zero; relative errors are undefined")
-    diff = target - approx
-    return float(np.linalg.norm(diff) / norm_fro), float(np.abs(diff).max() / norm_cheb)
+    return _errors(target - approx, target_norms(target))
+
+
+def _violations(x: np.ndarray, bounds: BoxBounds, threshold: float) -> ViolationStats:
+    thr = abs(threshold)
+    below = above = (0.0, 0.0, 0.0)
+    # A side that is infinite or that no entry passes builds no array.  The
+    # magnitudes are kept at full shape, +0.0 off the mask, so the Frobenius
+    # sum is bitwise that of the clamping residual.  Rounding is monotone,
+    # so the largest magnitude is that of the extreme entry.
+    if bounds.lo > -math.inf and (low := x.min()) < bounds.lo - thr:
+        mask = x < bounds.lo - thr
+        magnitude = np.zeros_like(x)
+        np.subtract(bounds.lo, x, out=magnitude, where=mask)
+        below = (np.linalg.norm(magnitude), bounds.lo - low, np.count_nonzero(mask) / x.size)
+    if bounds.hi < math.inf and (high := x.max()) > bounds.hi + thr:
+        mask = x > bounds.hi + thr
+        magnitude = np.zeros_like(x)
+        np.subtract(x, bounds.hi, out=magnitude, where=mask)
+        above = (np.linalg.norm(magnitude), high - bounds.hi, np.count_nonzero(mask) / x.size)
+    return ViolationStats(*(float(v) for v in below + above))
 
 
 def violation_stats(
@@ -76,22 +108,7 @@ def violation_stats(
     ``x_ij > hi + |threshold|``; the reported magnitudes are the full
     distances to the bound.
     """
-    x = as_matrix(x, "x")
-    thr = abs(threshold)
-    size = x.size
-
-    # Magnitudes are kept at full array shape so the Frobenius accumulation
-    # is bitwise identical to a norm of the clamping residual.
-    neg = np.where(x < bounds.lo - thr, bounds.lo - x, 0.0)
-    over = np.where(x > bounds.hi + thr, x - bounds.hi, 0.0)
-    return ViolationStats(
-        neg_frobenius=float(np.linalg.norm(neg)),
-        neg_chebyshev=float(neg.max()),
-        neg_density=np.count_nonzero(neg) / size,
-        over_frobenius=float(np.linalg.norm(over)),
-        over_chebyshev=float(over.max()),
-        over_density=np.count_nonzero(over) / size,
-    )
+    return _violations(as_matrix(x, "x"), bounds, threshold)
 
 
 def normalized_spectrum(x) -> np.ndarray:
@@ -109,8 +126,20 @@ def iteration_record(
     approx,
     bounds: BoxBounds = NONNEGATIVE,
     threshold: float = NOISE_THRESHOLD,
+    norms: tuple[float, float] | None = None,
 ) -> IterationRecord:
-    """Assemble the full per-iteration record for one iterate."""
-    rel_fro, rel_cheb = relative_errors(target, approx)
-    stats = violation_stats(approx, bounds, threshold)
-    return IterationRecord(iteration, rel_fro, rel_cheb, *stats)
+    """Assemble the full per-iteration record for one iterate.
+
+    A run passes its target's :func:`target_norms`, computed once; then
+    ``target`` and ``approx`` are taken as float64 matrices of one shape, and
+    a non-finite ``approx`` is caught through ``|target - approx|``.
+    """
+    if norms is None:
+        rel = relative_errors(target, approx)
+        return IterationRecord(iteration, *rel, *violation_stats(approx, bounds, threshold))
+    rel_fro, rel_cheb = _errors(target - approx, norms)
+    # Finite entries large enough to overflow the sum of squares also give a
+    # non-finite norm, so only then is the iterate scanned.
+    if not math.isfinite(rel_fro) and not np.isfinite(approx).all():
+        raise ValueError("approx contains non-finite entries")
+    return IterationRecord(iteration, rel_fro, rel_cheb, *_violations(approx, bounds, threshold))

@@ -1,6 +1,6 @@
 """Benchmark targets: random uniform matrices, grayscale images, and the
-closed-form solution of the two-component constant-kernel coagulation
-equation on an equidistant grid."""
+closed-form solution of the two-component coagulation equation with a unit
+constant kernel and initial total number sqrt(K), on an equidistant grid."""
 
 from __future__ import annotations
 

@@ -37,4 +37,9 @@ def project_box(x, bounds: BoxBounds = NONNEGATIVE) -> np.ndarray:
     operation is idempotent and leaves admissible entries untouched.
     """
     x = as_matrix(x, "x")
-    return np.clip(x, bounds.lo, bounds.hi)
+    # np.clip's values without its branch per entry, slow on scattered signs;
+    # on a tie these return their second argument, as clip keeps a -0.0.
+    out = np.maximum(bounds.lo, x)
+    if bounds.hi < math.inf:
+        np.minimum(bounds.hi, out, out=out)
+    return out

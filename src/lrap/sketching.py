@@ -152,27 +152,28 @@ def gen_test_matrix(spec: SketchSpec, rows: int, cols: int):
     )
 
 
-def apply_sketch_right(x, psi) -> np.ndarray:
-    """Compute ``x @ psi`` where ``psi`` may be dense or a sparse sign matrix."""
-    x = as_matrix(x, "x")
-    if isinstance(psi, SparseSignMatrix):
-        if x.shape[1] != psi.rows:
-            raise ValueError(f"cannot multiply {x.shape} by {psi.shape}")
-        return x @ psi.to_csr()
-    psi = as_matrix(psi, "psi")
+def apply_sketch_right(x, psi, check_finite: bool = True) -> np.ndarray:
+    """Compute ``x @ psi`` where ``psi`` may be dense or a sparse sign matrix.
+
+    A sparse ``psi`` is densified: a dense GEMM beats SciPy's dense-sparse
+    product, which copies the transpose of ``x``.  ``check_finite=False``
+    skips the scan for non-finite entries.
+    """
+    if check_finite:
+        x = as_matrix(x, "x")
+        if not isinstance(psi, SparseSignMatrix):
+            psi = as_matrix(psi, "psi")
     if x.shape[1] != psi.shape[0]:
         raise ValueError(f"cannot multiply {x.shape} by {psi.shape}")
-    return x @ psi
+    return x @ (psi.densify() if isinstance(psi, SparseSignMatrix) else psi)
 
 
-def apply_sketch_left(phi, x) -> np.ndarray:
+def apply_sketch_left(phi, x, check_finite: bool = True) -> np.ndarray:
     """Compute ``phi @ x`` where ``phi`` may be dense or a sparse sign matrix."""
-    x = as_matrix(x, "x")
-    if isinstance(phi, SparseSignMatrix):
-        if phi.cols != x.shape[0]:
-            raise ValueError(f"cannot multiply {phi.shape} by {x.shape}")
-        return phi.to_csr() @ x
-    phi = as_matrix(phi, "phi")
+    if check_finite:
+        x = as_matrix(x, "x")
+        if not isinstance(phi, SparseSignMatrix):
+            phi = as_matrix(phi, "phi")
     if phi.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {phi.shape} by {x.shape}")
-    return phi @ x
+    return (phi.to_csr() if isinstance(phi, SparseSignMatrix) else phi) @ x

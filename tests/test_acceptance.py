@@ -166,6 +166,7 @@ def uniform_runs(tmp_path_factory):
     return results
 
 
+@pytest.mark.slow
 def test_criterion_2_uniform_experiment_errors(uniform_runs):
     init_fro = uniform_runs["svd"][0]["rel_frobenius_init_mean"]
     assert abs(init_fro - 0.307) <= 0.05 * 0.307, init_fro
@@ -180,6 +181,7 @@ def test_criterion_2_uniform_experiment_errors(uniform_runs):
     print("criterion 2 (uniform-experiment error levels): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_3_negative_part_decays_tenfold(uniform_runs):
     # Trace columns: iter, rel_fro, rel_cheb, neg_fro, ...
     for name in ("svd", "tangent", "hmt", "tropp"):
@@ -339,6 +341,7 @@ def test_criterion_6_spectrum_decay_threshold(smoluchowski_matrix):
     print("criterion 6b (spectrum decay threshold): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_6_rank10_runs_stay_accurate(smoluchowski_matrix):
     target = smoluchowski_matrix
     sketch = SketchSpec(kind="sparse", density=0.2, seed=61)

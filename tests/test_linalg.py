@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lrap import LowRankFactors, matmul, qr_thin, svd_truncated
+from lrap import LowRankFactors, qr_thin, svd_truncated
 from lrap.problems import gen_uniform
 
 
@@ -117,28 +117,6 @@ class TestSvdTruncated:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd_truncated(np.array([[1.0, np.inf], [0.0, 1.0]]), 1)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.standard_normal((5, 7))
-        np.testing.assert_array_equal(matmul(np.eye(5), a), a)
-
-    def test_small_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_associative(self, rng):
-        a = rng.standard_normal((20, 30))
-        b = rng.standard_normal((30, 10))
-        c = rng.standard_normal((10, 5))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.linalg.norm(left - right) / np.linalg.norm(left) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="cannot multiply"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestLowRankFactors:

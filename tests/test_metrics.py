@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lrap import (
     BoxBounds,
+    IterationRecord,
+    iteration_record,
     normalized_spectrum,
     project_box,
     relative_errors,
     violation_stats,
 )
 from lrap.linalg import svd_truncated
+from lrap.metrics import NOISE_THRESHOLD, target_norms
 from lrap.problems import gen_uniform
 
 
@@ -88,3 +96,132 @@ class TestNormalizedSpectrum:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
             normalized_spectrum(np.zeros((3, 3)))
+
+
+# --------------------------------------------------------------------------
+# The record against two references, bit for bit.
+# --------------------------------------------------------------------------
+
+BOXES = (BoxBounds(0.0, math.inf), BoxBounds(0.0, 1.0))
+
+
+def record_with_where(iteration, target, approx, bounds, threshold=NOISE_THRESHOLD):
+    """The record as relative_errors and violation_stats first computed it:
+    |.| temporaries and np.where over the violation masks."""
+    norm_fro = np.linalg.norm(target)
+    norm_cheb = np.abs(target).max()
+    diff = target - approx
+    thr = abs(threshold)
+    neg = np.where(approx < bounds.lo - thr, bounds.lo - approx, 0.0)
+    over = np.where(approx > bounds.hi + thr, approx - bounds.hi, 0.0)
+    return IterationRecord(
+        iteration,
+        float(np.linalg.norm(diff) / norm_fro),
+        float(np.abs(diff).max() / norm_cheb),
+        float(np.linalg.norm(neg)),
+        float(neg.max()),
+        np.count_nonzero(neg) / approx.size,
+        float(np.linalg.norm(over)),
+        float(over.max()),
+        np.count_nonzero(over) / approx.size,
+    )
+
+
+def record_by_indexing(iteration, target, approx, bounds, threshold=NOISE_THRESHOLD):
+    """Independent reference: violations gathered by boolean indexing and
+    scattered into zeros, maxima taken by Python over the entries."""
+    thr = abs(threshold)
+    fields = []
+    for mask, magnitude in (
+        (approx < bounds.lo - thr, lambda v: bounds.lo - v),
+        (approx > bounds.hi + thr, lambda v: v - bounds.hi),
+    ):
+        residual = np.zeros_like(approx)
+        residual[mask] = magnitude(approx[mask])
+        fields += [
+            float(np.linalg.norm(residual)),
+            max((float(v) for v in residual[mask]), default=0.0),
+            float(mask.sum() / mask.size),
+        ]
+    diff = target - approx
+    return IterationRecord(
+        iteration,
+        float(np.linalg.norm(diff) / np.linalg.norm(target)),
+        max(abs(float(v)) for v in diff.flat) / max(abs(float(v)) for v in target.flat),
+        *fields,
+    )
+
+
+def bits(record):
+    """Field values as hex strings, so +0.0 and -0.0 differ."""
+    return tuple(float(v).hex() for v in record.__dict__.values())
+
+
+def near_bounds(box):
+    """Entries on, just inside and just past each finite bound and its
+    noise threshold, signed zeros, and ordinary values."""
+    edges = [0.0, -0.0, 1.0, -1.0, 2.5]
+    for bound in (box.lo, box.hi):
+        if math.isfinite(bound):
+            for step in (0.5, 1.0, 1.5, 2.0, 1e3):
+                edges += [bound - step * NOISE_THRESHOLD, bound + step * NOISE_THRESHOLD]
+    return st.one_of(
+        st.sampled_from(edges),
+        st.floats(-2.0, 3.0, allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def record_case(draw):
+    box = draw(st.sampled_from(BOXES))
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    approx = draw(hnp.arrays(np.float64, shape, elements=near_bounds(box)))
+    if draw(st.booleans()):
+        approx = project_box(approx, box)  # fully admissible
+    target = draw(hnp.arrays(np.float64, shape, elements=st.floats(-4.0, 4.0, width=32)))
+    if not target.any():
+        target[0, 0] = 1.0
+    return box, target, approx
+
+
+class TestIterationRecordBitwise:
+    @settings(max_examples=300, deadline=None)
+    @given(record_case(), st.sampled_from([NOISE_THRESHOLD, 0.0]))
+    def test_matches_both_references(self, case, threshold):
+        box, target, approx = case
+        expected = bits(record_with_where(3, target, approx, box, threshold))
+        assert bits(record_by_indexing(3, target, approx, box, threshold)) == expected
+        assert bits(iteration_record(3, target, approx, box, threshold)) == expected
+        norms = target_norms(target)
+        assert bits(iteration_record(3, target, approx, box, threshold, norms=norms)) == expected
+        if (project_box(approx, box) == approx).all():
+            record = iteration_record(3, target, approx, box, threshold, norms=norms)
+            assert {record.neg_chebyshev.hex(), record.over_chebyshev.hex()} == {"0x0.0p+0"}
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)])
+    def test_all_negative_zero_difference_gives_positive_zero(self, shape):
+        target = np.full(shape, -0.0)
+        target[0, 0] = 1.0
+        approx = np.zeros(shape)
+        approx[0, 0] = 1.0
+        record = iteration_record(1, target, approx, norms=target_norms(target))
+        assert bits(record) == bits(record_with_where(1, target, approx, BOXES[0]))
+        assert record.rel_chebyshev.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_iterate_raises(self, bad):
+        target = np.ones((4, 6))
+        approx = np.full((4, 6), 0.5)
+        approx[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            iteration_record(1, target, approx, norms=target_norms(target))
+        with pytest.raises(ValueError, match="non-finite"):
+            iteration_record(1, target, approx)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_iterate_overflowing_the_norm_is_recorded(self):
+        target = np.ones((3, 3))
+        approx = np.full((3, 3), 1e200)
+        record = iteration_record(1, target, approx, norms=target_norms(target))
+        assert record.rel_frobenius == math.inf
+        assert bits(record) == bits(record_with_where(1, target, approx, BOXES[0]))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lrap import BoxBounds, project_box
 
@@ -60,3 +63,26 @@ def test_invalid_bounds():
         BoxBounds(1.0, 1.0)
     with pytest.raises(ValueError, match="NaN"):
         BoxBounds(math.nan, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounds=st.sampled_from([
+        BoxBounds(0.0, math.inf), BoxBounds(-0.0, math.inf), BoxBounds(0.0, 1.0),
+        BoxBounds(-1.0, -0.0), BoxBounds(-0.0, 0.5), BoxBounds(-math.inf, 0.0),
+        BoxBounds(-math.inf, math.inf),
+    ]),
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    ),
+)
+def test_bitwise_equal_to_numpy_clip(bounds, x):
+    out = project_box(x, bounds)
+    expected = np.clip(x, bounds.lo, bounds.hi)
+    assert out.tobytes() == expected.tobytes()
+    assert not np.shares_memory(out, x)

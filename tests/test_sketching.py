@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrap import (
     SketchSpec,
@@ -144,6 +146,24 @@ class TestApplySketch:
             apply_sketch_right(x, np.eye(5))
         with pytest.raises(ValueError, match="multiply"):
             apply_sketch_left(np.eye(3), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    inner=st.integers(1, 40),
+    cols=st.integers(1, 12),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_sparse_right_apply_is_the_dense_product(rows, inner, cols, density, seed):
+    x = np.random.default_rng(seed).standard_normal((rows, inner))
+    psi = gen_test_matrix(SketchSpec(kind="sparse", density=density, seed=seed), inner, cols)
+    out = apply_sketch_right(x, psi)
+    assert np.array_equal(out, x @ psi.densify())
+    assert np.array_equal(apply_sketch_right(x, psi, check_finite=False), out)
+    reference = x @ psi.to_csr()
+    assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 def test_sub_seed_distinct_paths():
