@@ -22,19 +22,19 @@ import re
 import sys
 from dataclasses import replace
 
-from .flopmodel import dominant_coefficient, flops_per_iteration, two_significant
+from .flopmodel import flop_report, two_significant
 from .harness import (
     export_spectrum,
     load_config,
     parse_problem,
     run_experiment,
 )
-from .methods import MethodSpec
+from .methods import ENGINES, MethodSpec
 from .sketching import SketchSpec
 
 __all__ = ["main", "parse_method_string", "print_flop_table"]
 
-_METHOD_RE = re.compile(r"^(svd|tangent|hmt|tropp|gn)(?:\(([^)]*)\))?$")
+_METHOD_RE = re.compile(rf"^({'|'.join(ENGINES)})(?:\(([^)]*)\))?$")
 _SKETCH_RE = re.compile(r"^(gauss|gaussian|rad|rademacher)(?:\(([^)]*)\))?$")
 
 
@@ -47,22 +47,10 @@ def parse_method_string(text: str, rank: int) -> MethodSpec:
     name, args_text = match.group(1), match.group(2)
     args = [int(a) for a in args_text.split(",")] if args_text else []
 
-    k = l = None
-    p = 0
-    if name == "hmt":
-        if len(args) != 2:
-            raise ValueError(f"hmt takes (p, k), got {text!r}")
-        p, k = args
-    elif name == "tropp":
-        if len(args) != 2:
-            raise ValueError(f"tropp takes (k, l), got {text!r}")
-        k, l = args
-    elif name == "gn":
-        if len(args) != 1:
-            raise ValueError(f"gn takes (l), got {text!r}")
-        (l,) = args
-    elif args:
-        raise ValueError(f"{name} takes no parameters, got {text!r}")
+    params = ENGINES[name].params
+    if len(args) != len(params):
+        takes = f"({', '.join(params)})" if params else "no parameters"
+        raise ValueError(f"{name} takes {takes}, got {text!r}")
 
     sketch = None
     if sketch_part:
@@ -78,10 +66,10 @@ def parse_method_string(text: str, rank: int) -> MethodSpec:
             sketch = SketchSpec(kind="rademacher")
         else:
             sketch = SketchSpec(kind="sparse", density=float(density_text))
-    elif name in ("hmt", "tropp", "gn"):
+    elif ENGINES[name].sketched:
         sketch = SketchSpec(kind="gaussian")
 
-    return MethodSpec(method=name, r=rank, k=k, l=l, p=p, sketch=sketch)
+    return MethodSpec(method=name, r=rank, sketch=sketch, **dict(zip(params, args)))
 
 
 def _sketch_label(spec: MethodSpec) -> str:
@@ -93,13 +81,10 @@ def _sketch_label(spec: MethodSpec) -> str:
 
 
 def _method_label(spec: MethodSpec) -> str:
-    if spec.method == "hmt":
-        return f"hmt({spec.p},{spec.k})"
-    if spec.method == "tropp":
-        return f"tropp({spec.k},{spec.l})"
-    if spec.method == "gn":
-        return f"gn({spec.l})"
-    return spec.method
+    params = ENGINES[spec.method].params
+    if not params:
+        return spec.method
+    return f"{spec.method}({','.join(str(getattr(spec, p)) for p in params)})"
 
 
 def print_flop_table(m: int, n: int, specs, file=None) -> None:
@@ -109,11 +94,10 @@ def print_flop_table(m: int, n: int, specs, file=None) -> None:
     print(header, file=file)
     print("-" * len(header), file=file)
     for spec in specs:
-        per_iter = two_significant(flops_per_iteration(spec, m, n))
-        if spec.method == "svd":
-            coeff = "n/a"
-        else:
-            coeff = f"{dominant_coefficient(spec):g}"
+        report = flop_report(spec, m, n)
+        per_iter = two_significant(report.per_iteration_flops)
+        coeff = report.dominant_mn_coefficient
+        coeff = "n/a" if coeff is None else f"{coeff:g}"
         print(
             f"{_method_label(spec):<16} {_sketch_label(spec):<14} {per_iter:>12} {coeff:>10}",
             file=file,

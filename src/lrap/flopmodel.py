@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
-from .methods import MethodSpec
+from .methods import ENGINES, MethodSpec
+from .sketching import SketchSpec
 
 __all__ = [
     "FlopReport",
@@ -65,88 +68,75 @@ def flops_svd(m: int, n: int, variant: str = "general") -> float:
     return 14.0 * m * n * n + 8.0 * n**3
 
 
-def _check_kind(kind: str, density: float):
-    if kind not in ("gaussian", "rademacher", "sparse"):
-        raise ValueError(f"unknown sketch kind {kind!r}")
-    if kind == "sparse" and not 0.0 < density <= 1.0:
-        raise ValueError(f"sparse density must be in (0, 1], got {density}")
+# Flops per entry of a test matrix of each kind, given the density: to draw
+# the entry, and to apply it to one vector.
+_ENTRY_COSTS = {
+    "gaussian": lambda density: (75.0, 2.0),
+    "rademacher": lambda density: (1.0, 1.0),
+    "sparse": lambda density: (1.0 + density, density),
+}
 
 
 def flops_sketch_gen(kind: str, density: float, rows: int, cols: int) -> float:
     """Cost of drawing a rows x cols test matrix."""
-    _check_kind(kind, density)
-    size = float(rows * cols)
-    if kind == "gaussian":
-        return 75.0 * size
-    if kind == "rademacher":
-        return size
-    return (1.0 + density) * size
+    gen, _ = _ENTRY_COSTS[kind](SketchSpec(kind, density).density)
+    return gen * float(rows * cols)
 
 
 def flops_sketch_apply(kind: str, density: float, m: int, n: int, k: int) -> float:
     """Cost of applying an m x n test matrix across k vectors."""
-    _check_kind(kind, density)
-    size = float(m * n * k)
-    if kind == "gaussian":
-        return 2.0 * size
-    if kind == "rademacher":
-        return size
-    return density * size
+    _, apply = _ENTRY_COSTS[kind](SketchSpec(kind, density).density)
+    return apply * float(m * n * k)
 
 
-def _hmt_iteration(m, n, r, k, p, kind, rho) -> float:
-    sketch_mn = {"gaussian": 4 * p + 4, "rademacher": 4 * p + 3, "sparse": 4 * p + 2 + rho}[kind]
-    gen = {"gaussian": 75.0 * n * k, "rademacher": float(n * k), "sparse": (1 + rho) * n * k}[kind]
-    return (
-        sketch_mn * m * n * k
-        + 2.0 * m * n * r
-        + (4 * p + 6) * (m + n) * k * k
-        + n * r
-        + gen
-        + (8.0 / 3.0) * (7 - p) * k**3
-    )
+# One iteration of each engine on a tall m x n target, from the per-entry
+# costs of its sketch: the terms linear in m n, then the rest, in the order
+# they are summed.  Both include the reconstruction (2 m n r, plus n r to
+# scale by sigma).
 
 
-def _tropp_iteration(m, n, r, k, l, kind, rho) -> float:
-    if kind == "gaussian":
-        mn_coeff = 2.0 * (r + k + l)
-        mkl = 2.0 * m * k * l
-        gen = 75.0 * (n * k + m * l)
-    elif kind == "rademacher":
-        mn_coeff = 2.0 * r + k + l
-        mkl = 1.0 * m * k * l
-        gen = float(n * k + m * l)
-    else:
-        mn_coeff = 2.0 * r + rho * k + rho * l
-        mkl = rho * m * k * l
-        gen = (1.0 + rho) * (n * k + m * l)
-    return (
-        mn_coeff * m * n
-        + mkl
-        + 5.0 * m * k * k
-        + 7.0 * n * k * k
-        + 2.0 * n * k * l
-        + gen
-        + n * r
-        + (17.0 + 1.0 / 3.0) * k**3
-        + 4.0 * l * k * k
-    )
+def _svd_terms(spec, m, n, gen, apply):
+    r = spec.r
+    return (), (flops_svd(m, n, "square" if m == n else "general"), 2.0 * m * n * r, n * r)
 
 
-def _gn_iteration(m, n, r, l, kind, rho) -> float:
-    if kind == "gaussian":
-        mn_coeff = 4.0 * r + 2.0 * l
-        nlr = 4.0 * n * l * r
-        gen = 75.0 * (n * r + m * l)
-    elif kind == "rademacher":
-        mn_coeff = 3.0 * r + l
-        nlr = 3.0 * n * l * r
-        gen = float(n * r + m * l)
-    else:
-        mn_coeff = 2.0 * r + rho * r + rho * l
-        nlr = (2.0 + rho) * n * l * r
-        gen = (1.0 + rho) * (n * r + m * l)
-    return mn_coeff * m * n + nlr + m * r * r + gen + 4.0 * l * r * r - (4.0 / 3.0) * r**3
+def _tangent_terms(spec, m, n, gen, apply):
+    r = spec.r
+    rest = (10.0 * m * r * r, 12.0 * n * r * r, n * r, (165.0 + 1.0 / 3.0) * r**3)
+    return (6.0 * m * n * r,), rest
+
+
+def _hmt_terms(spec, m, n, gen, apply):
+    r, k, p = spec.r, spec.k, spec.p
+    mn = ((4 * p + 2 + apply) * m * n * k, 2.0 * m * n * r)
+    return mn, ((4 * p + 6) * (m + n) * k * k, n * r, gen * n * k, (8.0 / 3.0) * (7 - p) * k**3)
+
+
+def _tropp_terms(spec, m, n, gen, apply):
+    r, k, l = spec.r, spec.k, spec.l
+    small = (apply * m * k * l, 5.0 * m * k * k, 7.0 * n * k * k, 2.0 * n * k * l)
+    rest = (gen * (n * k + m * l), n * r, (17.0 + 1.0 / 3.0) * k**3, 4.0 * l * k * k)
+    return ((2.0 * r + apply * k + apply * l) * m * n,), small + rest
+
+
+def _gn_terms(spec, m, n, gen, apply):
+    r, l = spec.r, spec.l
+    rest = ((2.0 + apply) * n * l * r, m * r * r, gen * (n * r + m * l), 4.0 * l * r * r)
+    return ((2.0 * r + apply * r + apply * l) * m * n,), rest + (-(4.0 / 3.0) * r**3,)
+
+
+_ITERATION_TERMS = {
+    "svd": _svd_terms,
+    "tangent": _tangent_terms,
+    "hmt": _hmt_terms,
+    "tropp": _tropp_terms,
+    "gn": _gn_terms,
+}
+
+
+def _iteration_terms(spec: MethodSpec, m: int, n: int):
+    gen, apply = _ENTRY_COSTS[spec.sketch.kind](spec.sketch.density) if spec.sketch else (0, 0)
+    return _ITERATION_TERMS[spec.method](spec, m, n, gen, apply)
 
 
 def _dims(spec: MethodSpec, m: int, n: int) -> tuple[int, int]:
@@ -161,26 +151,10 @@ def _dims(spec: MethodSpec, m: int, n: int) -> tuple[int, int]:
 def flops_per_iteration(spec: MethodSpec, m: int, n: int) -> float:
     """Flops for one full iteration of the selected method on an m x n target."""
     m, n = _dims(spec, m, n)
-    r = spec.r
-    if spec.method in ("svd", "tangent") and spec.sketch is not None:
+    if spec.sketch is not None and not ENGINES[spec.method].sketched:
         raise ValueError(f"{spec.method} takes no sketch")
-    if spec.method == "svd":
-        variant = "square" if m == n else "general"
-        return flops_svd(m, n, variant) + 2.0 * m * n * r + n * r
-    if spec.method == "tangent":
-        return (
-            6.0 * m * n * r
-            + 10.0 * m * r * r
-            + 12.0 * n * r * r
-            + n * r
-            + (165.0 + 1.0 / 3.0) * r**3
-        )
-    kind, rho = spec.sketch.kind, spec.sketch.density
-    if spec.method == "hmt":
-        return _hmt_iteration(m, n, r, spec.k, spec.p, kind, rho)
-    if spec.method == "tropp":
-        return _tropp_iteration(m, n, r, spec.k, spec.l, kind, rho)
-    return _gn_iteration(m, n, r, spec.l, kind, rho)
+    mn, rest = _iteration_terms(spec, m, n)
+    return reduce(add, mn + rest)
 
 
 def flops_init(spec: MethodSpec, m: int, n: int) -> float:
@@ -194,47 +168,24 @@ def flops_init(spec: MethodSpec, m: int, n: int) -> float:
     """
     m_t, n_t = _dims(spec, m, n)
     r = spec.r
-    if spec.method in ("svd", "tangent"):
-        variant = "square" if m_t == n_t else "general"
-        return flops_svd(m_t, n_t, variant) + 2.0 * m_t * n_t * r
-    per_iter = flops_per_iteration(spec, m, n)
-    if spec.method == "gn":
-        return per_iter - 2.0 * m_t * n_t * r
-    return per_iter - 2.0 * m_t * n_t * r - n_t * r
+    if not ENGINES[spec.method].sketched:
+        return flops_svd(m_t, n_t, "square" if m_t == n_t else "general") + 2.0 * m_t * n_t * r
+    init = flops_per_iteration(spec, m, n) - 2.0 * m_t * n_t * r
+    # gn's factor pair carries no singular values to scale by.
+    return init if spec.method == "gn" else init - n_t * r
 
 
 def dominant_coefficient(spec: MethodSpec) -> float:
     """Leading per-iteration cost divided by the matrix size ``m n``.
 
+    The part of the iteration linear in ``m n``, taken at ``m = n = 1``.
     Defined for the tangent and randomized methods, whose iteration cost is
     linear in ``m n``; the exact-SVD method has no such form.
     """
-    r = spec.r
-    if spec.method == "tangent":
-        return 6.0 * r
-    if spec.method == "svd":
+    mn, _ = _iteration_terms(spec, 1, 1)
+    if not mn:
         raise ValueError("the exact SVD method has no mn-linear dominant term")
-    kind, rho = spec.sketch.kind, spec.sketch.density
-    if spec.method == "hmt":
-        k, p = spec.k, spec.p
-        return {
-            "gaussian": (4.0 * p + 4.0) * k + 2.0 * r,
-            "rademacher": (4.0 * p + 3.0) * k + 2.0 * r,
-            "sparse": (4.0 * p + 2.0 + rho) * k + 2.0 * r,
-        }[kind]
-    if spec.method == "tropp":
-        k, l = spec.k, spec.l
-        return {
-            "gaussian": 2.0 * (r + k + l),
-            "rademacher": 2.0 * r + k + l,
-            "sparse": 2.0 * r + rho * k + rho * l,
-        }[kind]
-    l = spec.l
-    return {
-        "gaussian": 4.0 * r + 2.0 * l,
-        "rademacher": 3.0 * r + l,
-        "sparse": 2.0 * r + rho * r + rho * l,
-    }[spec.sketch.kind]
+    return reduce(add, mn)
 
 
 @dataclass(frozen=True)
@@ -250,11 +201,11 @@ class FlopReport:
 
 
 def flop_report(spec: MethodSpec, m: int, n: int) -> FlopReport:
-    dominant = None if spec.method == "svd" else dominant_coefficient(spec)
+    mn, _ = _iteration_terms(spec, 1, 1)
     return FlopReport(
         init_flops=flops_init(spec, m, n),
         per_iteration_flops=flops_per_iteration(spec, m, n),
-        dominant_mn_coefficient=dominant,
+        dominant_mn_coefficient=reduce(add, mn) if mn else None,
     )
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .flopmodel import flops_init, flops_per_iteration
 from .linalg import as_matrix, svd_truncated
 from .methods import MethodSpec, initialize, run_method
-from .metrics import IterationRecord, normalized_spectrum, relative_errors
+from .metrics import normalized_spectrum, relative_errors
 from .problems import SmoluchowskiSpec, gen_uniform, load_image_pgm, smoluchowski_solution
 from .projections import BoxBounds
 from .sketching import SketchSpec, sub_seed
@@ -53,15 +53,37 @@ class UniformProblem:
     cols: int
     seed: int = 0
 
+    def build(self, trial: int = 0) -> np.ndarray:
+        return gen_uniform(self.rows, self.cols, sub_seed(self.seed, trial))
+
+    def to_json(self) -> dict:
+        return {"type": "uniform", "rows": self.rows, "cols": self.cols, "seed": self.seed}
+
 
 @dataclass(frozen=True)
 class ImageProblem:
+    """Grayscale PGM image scaled to [0, 1]; the same target in every trial."""
+
     path: str
+
+    def build(self, trial: int = 0) -> np.ndarray:
+        return load_image_pgm(self.path)
+
+    def to_json(self) -> dict:
+        return {"type": "image", "path": self.path}
 
 
 @dataclass(frozen=True)
 class SmoluchowskiProblem:
+    """Analytic coagulation target; the same in every trial."""
+
     spec: SmoluchowskiSpec
+
+    def build(self, trial: int = 0) -> np.ndarray:
+        return smoluchowski_solution(self.spec)
+
+    def to_json(self) -> dict:
+        return {"type": "smoluchowski", **asdict(self.spec)}
 
 
 INIT_POLICIES = ("svd", "method")
@@ -94,6 +116,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown init policy {self.init!r}, expected one of {INIT_POLICIES}")
 
 
+def _integer(value, name: str) -> int:
+    """An integral JSON number as an int: ``4`` and ``4.0``, not ``4.5``, ``"4"`` or true."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; strings and booleans are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def parse_problem(raw: dict):
     """Build a problem description from its JSON form."""
     if not isinstance(raw, dict) or "type" not in raw:
@@ -101,25 +139,19 @@ def parse_problem(raw: dict):
     kind = raw["type"]
     if kind == "uniform":
         return UniformProblem(
-            rows=int(raw["rows"]), cols=int(raw["cols"]), seed=int(raw.get("seed", 0))
+            rows=_integer(raw["rows"], "rows"),
+            cols=_integer(raw["cols"], "cols"),
+            seed=_integer(raw.get("seed", 0), "seed"),
         )
     if kind == "image":
         return ImageProblem(path=str(raw["path"]))
     if kind == "smoluchowski":
-        fields = {
-            key: raw[key]
-            for key in (
-                "kernel_constant",
-                "rate_a",
-                "rate_b",
-                "time",
-                "step",
-                "nodes",
-                "origin",
-            )
-            if key in raw
+        spec = {
+            f.name: (_integer if isinstance(f.default, int) else _number)(raw[f.name], f.name)
+            for f in fields(SmoluchowskiSpec)
+            if f.name in raw
         }
-        return SmoluchowskiProblem(spec=SmoluchowskiSpec(**fields))
+        return SmoluchowskiProblem(spec=SmoluchowskiSpec(**spec))
     raise ValueError(f"unknown problem type {kind!r}")
 
 
@@ -131,21 +163,23 @@ def parse_method(raw: dict) -> MethodSpec:
     if raw.get("sketch") is not None:
         s = raw["sketch"]
         sketch = SketchSpec(
-            kind=s["kind"], density=float(s.get("density", 1.0)), seed=int(s.get("seed", 0))
+            kind=s["kind"],
+            density=_number(s.get("density", 1.0), "density"),
+            seed=_integer(s.get("seed", 0), "seed"),
         )
     box = BoxBounds()
     if raw.get("box") is not None:
         b = raw["box"]
-        lo = -math.inf if b.get("lo") is None else float(b["lo"])
-        hi = math.inf if b.get("hi") is None else float(b["hi"])
+        lo = -math.inf if b.get("lo") is None else _number(b["lo"], "lo")
+        hi = math.inf if b.get("hi") is None else _number(b["hi"], "hi")
         box = BoxBounds(lo=lo, hi=hi)
     return MethodSpec(
         method=str(raw["name"]),
-        r=int(raw["r"]),
-        k=None if raw.get("k") is None else int(raw["k"]),
-        l=None if raw.get("l") is None else int(raw["l"]),
-        p=int(raw.get("p", 0)),
-        s=int(raw.get("iterations", 0)),
+        r=_integer(raw["r"], "r"),
+        k=None if raw.get("k") is None else _integer(raw["k"], "k"),
+        l=None if raw.get("l") is None else _integer(raw["l"], "l"),
+        p=_integer(raw.get("p", 0), "p"),
+        s=_integer(raw.get("iterations", 0), "iterations"),
         sketch=sketch,
         box=box,
     )
@@ -156,11 +190,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(
             problem=parse_problem(raw["problem"]),
             method=parse_method(raw["method"]),
-            trials=int(raw.get("trials", 1)),
-            master_seed=int(raw.get("master_seed", 0)),
+            trials=_integer(raw.get("trials", 1), "trials"),
+            master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
             output_dir=str(raw["output_dir"]),
             init=str(raw.get("init", "svd")),
-            workers=None if raw.get("workers") is None else int(raw["workers"]),
+            workers=None if raw.get("workers") is None else _integer(raw["workers"], "workers"),
         )
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
@@ -176,35 +210,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_target(problem, trial: int = 0) -> np.ndarray:
-    """Dense target matrix for one trial.
-
-    The uniform problem re-draws per trial (sub-seeded from its own seed);
-    the image and analytic targets are identical across trials.
-    """
-    if isinstance(problem, UniformProblem):
-        return gen_uniform(problem.rows, problem.cols, sub_seed(problem.seed, trial))
-    if isinstance(problem, ImageProblem):
-        return load_image_pgm(problem.path)
-    if isinstance(problem, SmoluchowskiProblem):
-        return smoluchowski_solution(problem.spec)
-    raise TypeError(f"unknown problem {problem!r}")
+    """Dense target matrix of ``problem`` for one trial."""
+    return problem.build(trial)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-def _record_row(rec: IterationRecord) -> list[float]:
-    return [
-        rec.rel_frobenius,
-        rec.rel_chebyshev,
-        rec.neg_frobenius,
-        rec.neg_chebyshev,
-        rec.neg_density,
-        rec.over_frobenius,
-        rec.over_chebyshev,
-        rec.over_density,
-    ]
 
 
 def _write_trace(path: Path, rows: np.ndarray):
@@ -214,12 +225,8 @@ def _write_trace(path: Path, rows: np.ndarray):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _run_trial(config: ExperimentConfig, fixed_target, trial: int):
-    problem = config.problem
-    if isinstance(problem, UniformProblem):
-        target = build_target(problem, trial)
-    else:
-        target = fixed_target
+def _run_trial(config: ExperimentConfig, trial: int):
+    target = build_target(config.problem, trial)
     spec = config.method
     if spec.sketch is not None:
         spec = replace(spec, sketch=replace(spec.sketch, seed=sub_seed(config.master_seed, trial)))
@@ -229,8 +236,9 @@ def _run_trial(config: ExperimentConfig, fixed_target, trial: int):
         y0 = initialize(target, spec)
     init_fro, init_cheb = relative_errors(target, y0.reconstruct())
     _, trace = run_method(y0, spec, target=target)
-    rows = np.array([_record_row(rec) for rec in trace]).reshape(len(trace), 8)
-    return init_fro, init_cheb, rows
+    # Every field but the iteration number, in TRACE_HEADER's order.
+    rows = np.array([astuple(rec)[1:] for rec in trace]).reshape(len(trace), 8)
+    return init_fro, init_cheb, rows, target.shape
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -242,10 +250,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fixed_target = (
-        None if isinstance(config.problem, UniformProblem) else build_target(config.problem)
-    )
-
     workers = config.workers
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
@@ -253,16 +257,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise ValueError(f"worker count must be >= 1, got {workers}")
 
     if workers == 1:
-        results = [_run_trial(config, fixed_target, t) for t in range(config.trials)]
+        results = [_run_trial(config, t) for t in range(config.trials)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_trial, config, fixed_target, t) for t in range(config.trials)
-            ]
+            futures = [pool.submit(_run_trial, config, t) for t in range(config.trials)]
             results = [f.result() for f in futures]
 
-    all_rows = np.stack([rows for _, _, rows in results])
-    for t, (_, _, rows) in enumerate(results):
+    all_rows = np.stack([rows for _, _, rows, _ in results])
+    for t, (_, _, rows, _) in enumerate(results):
         _write_trace(out_dir / f"trial_{t}.csv", rows)
     _write_trace(out_dir / "mean.csv", np.mean(all_rows, axis=0))
 
@@ -275,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         final_fro, final_cheb = init_fro, init_cheb
 
     spec = config.method
-    shape = _problem_shape(config.problem, fixed_target)
+    shape = results[0][3]
     if config.init == "svd":
         init_flops = flops_init(MethodSpec(method="svd", r=spec.r), *shape)
     else:
@@ -283,7 +285,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     summary = {
         "method": spec.method,
         "params": {
-            "problem": _problem_json(config.problem),
+            "problem": config.problem.to_json(),
             "r": spec.r,
             "k": spec.k,
             "l": spec.l,
@@ -313,30 +315,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return summary
-
-
-def _problem_shape(problem, fixed_target) -> tuple[int, int]:
-    if isinstance(problem, UniformProblem):
-        return problem.rows, problem.cols
-    return fixed_target.shape
-
-
-def _problem_json(problem) -> dict:
-    if isinstance(problem, UniformProblem):
-        return {"type": "uniform", "rows": problem.rows, "cols": problem.cols, "seed": problem.seed}
-    if isinstance(problem, ImageProblem):
-        return {"type": "image", "path": problem.path}
-    spec = problem.spec
-    return {
-        "type": "smoluchowski",
-        "kernel_constant": spec.kernel_constant,
-        "rate_a": spec.rate_a,
-        "rate_b": spec.rate_b,
-        "time": spec.time,
-        "step": spec.step,
-        "nodes": spec.nodes,
-        "origin": spec.origin,
-    }
 
 
 def export_spectrum(problem, count: int, path) -> None:

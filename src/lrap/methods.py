@@ -13,16 +13,18 @@ Five ways to realize the rank-r projection half of the iteration:
 * ``gn``      -- generalized Nystrom estimator, SVD-free, range sketch size
   ``l >= r``.
 
-Each engine is exposed both as a single step acting on an
+:data:`ENGINES` defines each one: its projection and the parameters of its
+compact form.  Each engine is exposed both as a single step acting on an
 :class:`IterateState` and through the :func:`run_method` driver, which
-materializes the dense iterate once per iteration, records metrics, and
-retries a collapsed sketch once with a fresh stream before giving up.
+materializes the dense iterate once per iteration and records metrics.
+Both clamp and project through one iteration, which retries a collapsed
+sketch once with a fresh stream before giving up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -39,7 +41,9 @@ from .sketching import (
 )
 
 __all__ = [
+    "ENGINES",
     "METHOD_NAMES",
+    "Engine",
     "IterateState",
     "MethodSpec",
     "SketchCollapseError",
@@ -52,9 +56,6 @@ __all__ = [
     "run_method",
     "tangent_space_apply",
 ]
-
-METHOD_NAMES = ("svd", "tangent", "hmt", "tropp", "gn")
-RANDOMIZED = ("hmt", "tropp", "gn")
 
 # Stream roles for deriving independent per-iteration draws, plus a path
 # tag that keeps the retry stream disjoint from every iteration stream.
@@ -103,24 +104,23 @@ class MethodSpec:
     box: BoxBounds = NONNEGATIVE
 
     def __post_init__(self):
-        if self.method not in METHOD_NAMES:
+        if self.method not in ENGINES:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHOD_NAMES}")
+        engine = ENGINES[self.method]
         if self.r < 1:
             raise ValueError(f"target rank must be >= 1, got {self.r}")
         if self.s < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.s}")
         if self.p < 0:
             raise ValueError(f"power iteration count must be >= 0, got {self.p}")
-        if self.method in ("hmt", "tropp"):
-            if self.k is None or self.k < self.r:
-                raise ValueError(f"{self.method} requires co-range sketch size k >= r")
-        if self.method == "tropp":
-            if self.l is None or self.l < self.k:
-                raise ValueError("tropp requires range sketch size l >= k")
-        if self.method == "gn":
-            if self.l is None or self.l < self.r:
-                raise ValueError("gn requires range sketch size l >= r")
-        if self.method in RANDOMIZED and self.sketch is None:
+        if "k" in engine.params and (self.k is None or self.k < self.r):
+            raise ValueError(f"{self.method} requires co-range sketch size k >= r")
+        if "l" in engine.params:
+            # The range sketch must cover the co-range sketch, or the rank.
+            floor, name = (self.k, "k") if "k" in engine.params else (self.r, "r")
+            if self.l is None or self.l < floor:
+                raise ValueError(f"{self.method} requires range sketch size l >= {name}")
+        if engine.sketched and self.sketch is None:
             raise ValueError(f"{self.method} requires a sketch spec")
 
 
@@ -160,11 +160,14 @@ def tangent_space_apply(x, u, v) -> np.ndarray:
     return u @ utx + (xv - u @ (utx @ v)) @ v.T
 
 
-def _project_svd(x: np.ndarray, spec: MethodSpec) -> LowRankFactors:
+def _project_svd(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
     return svd_truncated(x, spec.r)
 
 
-def _project_tangent(x: np.ndarray, factors: LowRankFactors, spec: MethodSpec) -> LowRankFactors:
+def _project_tangent(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
+    if factors is None:
+        # No base point yet: project onto the whole rank-r manifold.
+        return svd_truncated(x, spec.r)
     if factors.sigma is None:
         raise ValueError("tangent step requires SVD-form factors (u, sigma, v)")
     r = spec.r
@@ -186,7 +189,7 @@ def _project_tangent(x: np.ndarray, factors: LowRankFactors, spec: MethodSpec) -
     )
 
 
-def _project_hmt(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
+def _project_hmt(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
     n = x.shape[1]
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
     z1 = apply_sketch_right(x, psi, check_finite=False)
@@ -204,7 +207,7 @@ def _project_hmt(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRan
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
 
 
-def _project_tropp(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
+def _project_tropp(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
     m, n = x.shape
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
     phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
@@ -218,7 +221,7 @@ def _project_tropp(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowR
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
 
 
-def _project_gn(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
+def _project_gn(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
     m, n = x.shape
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.r)
     phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
@@ -231,35 +234,47 @@ def _project_gn(x: np.ndarray, spec: MethodSpec, iteration_seed: int) -> LowRank
     return LowRankFactors(u=u, v=v, sigma=None)
 
 
-def _project(
-    x: np.ndarray, factors: LowRankFactors, spec: MethodSpec, iteration_seed: int
-) -> LowRankFactors:
-    if spec.method == "svd":
-        return _project_svd(x, spec)
-    if spec.method == "tangent":
-        return _project_tangent(x, factors, spec)
-    if spec.method == "hmt":
-        return _project_hmt(x, spec, iteration_seed)
-    if spec.method == "tropp":
-        return _project_tropp(x, spec, iteration_seed)
-    return _project_gn(x, spec, iteration_seed)
+class Engine(NamedTuple):
+    """``project(x, factors, spec, iteration_seed)`` maps the clamped iterate to
+    rank-r factors (``factors`` is the previous iterate, None for the first);
+    ``params`` are the fields that the compact form ``name(a,b)`` sets, in order."""
+
+    project: Callable[..., LowRankFactors]
+    params: tuple[str, ...] = ()
+    sketched: bool = False
 
 
-def _step(state: IterateState, spec: MethodSpec, iteration_seed: int) -> IterateState:
-    x = project_box(state.factors.reconstruct(), spec.box)
-    factors = _project(x, state.factors, spec, iteration_seed)
-    return IterateState(factors=factors, iteration=state.iteration + 1)
+ENGINES = {
+    "svd": Engine(_project_svd),
+    "tangent": Engine(_project_tangent),
+    "hmt": Engine(_project_hmt, ("p", "k"), sketched=True),
+    "tropp": Engine(_project_tropp, ("k", "l"), sketched=True),
+    "gn": Engine(_project_gn, ("l",), sketched=True),
+}
+METHOD_NAMES = tuple(ENGINES)
 
 
-def _expect(spec: MethodSpec, method: str):
+def _advance(dense, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
+    """Clamp ``dense`` into the box and project it to rank r, retrying a
+    collapsed sketch once with a fresh sub-stream; a second collapse propagates."""
+    x = project_box(dense, spec.box)
+    project = ENGINES[spec.method].project
+    try:
+        return project(x, factors, spec, iteration_seed)
+    except SketchCollapseError:
+        return project(x, factors, spec, sub_seed(iteration_seed, _RETRY))
+
+
+def _step(method: str, state: IterateState, spec: MethodSpec, iteration_seed: int):
     if spec.method != method:
         raise ValueError(f"spec selects {spec.method!r}, step implements {method!r}")
+    factors = _advance(state.factors.reconstruct(), state.factors, spec, iteration_seed)
+    return IterateState(factors=factors, iteration=state.iteration + 1)
 
 
 def ap_svd_step(state: IterateState, spec: MethodSpec) -> IterateState:
     """One exact alternating-projection step: clamp, then truncated SVD."""
-    _expect(spec, "svd")
-    return _step(state, spec, 0)
+    return _step("svd", state, spec, 0)
 
 
 def ap_tangent_step(state: IterateState, spec: MethodSpec) -> IterateState:
@@ -268,26 +283,22 @@ def ap_tangent_step(state: IterateState, spec: MethodSpec) -> IterateState:
     The state must carry SVD-form factors; the driver seeds them with a
     truncated SVD of the initial iterate.
     """
-    _expect(spec, "tangent")
-    return _step(state, spec, 0)
+    return _step("tangent", state, spec, 0)
 
 
 def ap_hmt_step(state: IterateState, spec: MethodSpec, iteration_seed: int) -> IterateState:
     """One range-finder step with ``spec.p`` power iterations."""
-    _expect(spec, "hmt")
-    return _step(state, spec, iteration_seed)
+    return _step("hmt", state, spec, iteration_seed)
 
 
 def ap_tropp_step(state: IterateState, spec: MethodSpec, iteration_seed: int) -> IterateState:
     """One two-sided-sketch step with pseudoinverse correction."""
-    _expect(spec, "tropp")
-    return _step(state, spec, iteration_seed)
+    return _step("tropp", state, spec, iteration_seed)
 
 
 def ap_gn_step(state: IterateState, spec: MethodSpec, iteration_seed: int) -> IterateState:
     """One generalized-Nystrom step; the result is a sigma-less factor pair."""
-    _expect(spec, "gn")
-    return _step(state, spec, iteration_seed)
+    return _step("gn", state, spec, iteration_seed)
 
 
 def initialize(target, spec: MethodSpec) -> LowRankFactors:
@@ -298,9 +309,7 @@ def initialize(target, spec: MethodSpec) -> LowRankFactors:
     the sketch seed (iterations use streams 1..s).
     """
     target = as_matrix(target, "target")
-    if spec.method in ("svd", "tangent"):
-        return svd_truncated(target, spec.r)
-    return _project(target, None, spec, iteration_seed=0)
+    return ENGINES[spec.method].project(target, None, spec, 0)
 
 
 def run_method(
@@ -350,11 +359,7 @@ def run_method(
 
     trace: list[IterationRecord] = []
     for i in range(1, spec.s + 1):
-        x = project_box(dense, spec.box)
-        try:
-            factors = _project(x, factors, spec, iteration_seed=i)
-        except SketchCollapseError:
-            factors = _project(x, factors, spec, iteration_seed=sub_seed(i, _RETRY))
+        factors = _advance(dense, factors, spec, i)
         dense = factors.reconstruct()
         record = iteration_record(i, target, dense, spec.box, norms=norms)
         trace.append(record)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import as_matrix
 
-__all__ = ["BoxBounds", "NONNEGATIVE", "UNIT_INTERVAL", "project_box"]
+__all__ = ["BoxBounds", "NONNEGATIVE", "project_box"]
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class BoxBounds:
 
 
 NONNEGATIVE = BoxBounds(0.0, math.inf)
-UNIT_INTERVAL = BoxBounds(0.0, 1.0)
 
 
 def project_box(x, bounds: BoxBounds = NONNEGATIVE) -> np.ndarray:

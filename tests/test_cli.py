@@ -142,6 +142,14 @@ class TestMainSpectrum:
         assert values[0] == 1.0 and len(values) == 3
         assert all(np.isfinite(values))
 
+    def test_malformed_number_fails_cleanly(self, tmp_path, capsys):
+        code = main(
+            ["spectrum", '{"type": "smoluchowski", "nodes": "8"}',
+             "--count", "3", "--output", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert "nodes must be an integer" in capsys.readouterr().err
+
     def test_bad_count(self, tmp_path, capsys):
         code = main(
             ["spectrum", '{"type": "uniform", "rows": 4, "cols": 4, "seed": 1}',

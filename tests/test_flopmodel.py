@@ -152,6 +152,113 @@ class TestInitCosts:
         assert svd_report.dominant_mn_coefficient is None
 
 
+# float.hex of flops_per_iteration, flops_init and dominant_coefficient (None
+# for svd), recorded before the model was rebuilt from per-entry sketch costs:
+# ((m, n), method, r, sizes, (sketch kind, density) or None, per-iteration,
+# init, dominant).
+PINNED = [
+    ((256, 256), "svd", 64, {}, None,
+     "0x1.5804000000000p+28", "0x1.5800000000000p+28", None),
+    ((256, 256), "tangent", 64, {}, None,
+     "0x1.5d65555555556p+26", "0x1.5800000000000p+28", "0x1.8000000000000p+8"),
+    ((256, 256), "hmt", 64, {"p": 1, "k": 70}, ("gaussian", 1.0),
+     "0x1.25d3e00000000p+26", "0x1.05c3e00000000p+26", "0x1.5800000000000p+9"),
+    ((256, 256), "hmt", 64, {"p": 1, "k": 70}, ("rademacher", 1.0),
+     "0x1.0f44e00000000p+26", "0x1.de69c00000000p+25", "0x1.3500000000000p+9"),
+    ((256, 256), "hmt", 64, {"p": 1, "k": 70}, ("sparse", 0.2),
+     "0x1.0148600000000p+26", "0x1.c270c00000000p+25", "0x1.1900000000000p+9"),
+    ((256, 256), "hmt", 64, {"p": 1, "k": 70}, ("sparse", 0.01),
+     "0x1.fbe3b33333334p+25", "0x1.bbc3b33333334p+25", "0x1.125999999999ap+9"),
+    ((256, 256), "tropp", 64, {"k": 70, "l": 100}, ("gaussian", 1.0),
+     "0x1.e8df1aaaaaaabp+25", "0x1.a8bf1aaaaaaabp+25", "0x1.d400000000000p+8"),
+    ((256, 256), "tropp", 64, {"k": 70, "l": 100}, ("rademacher", 1.0),
+     "0x1.6da11aaaaaaabp+25", "0x1.2d811aaaaaaabp+25", "0x1.2a00000000000p+8"),
+    ((256, 256), "tropp", 64, {"k": 70, "l": 100}, ("sparse", 0.2),
+     "0x1.1ec21aaaaaaabp+25", "0x1.bd44355555556p+24", "0x1.4400000000000p+7"),
+    ((256, 256), "tropp", 64, {"k": 70, "l": 100}, ("sparse", 0.01),
+     "0x1.0bf28dddddddep+25", "0x1.97a51bbbbbbbcp+24", "0x1.0366666666666p+7"),
+    ((256, 256), "gn", 64, {"l": 150}, ("gaussian", 1.0),
+     "0x1.986e555555555p+25", "0x1.586e555555555p+25", "0x1.1600000000000p+9"),
+    ((256, 256), "gn", 64, {"l": 150}, ("rademacher", 1.0),
+     "0x1.f780aaaaaaaabp+24", "0x1.7780aaaaaaaabp+24", "0x1.5600000000000p+8"),
+    ((256, 256), "gn", 64, {"l": 150}, ("sparse", 0.2),
+     "0x1.2e78444444445p+24", "0x1.5cf088888888ap+23", "0x1.559999999999ap+7"),
+    ((256, 256), "gn", 64, {"l": 150}, ("sparse", 0.01),
+     "0x1.fd0d4b17e4b17p+23", "0x1.fa1a962fc962ep+22", "0x1.0447ae147ae14p+7"),
+    ((1024, 1024), "svd", 10, {}, None,
+     "0x1.50500a0000000p+34", "0x1.5050000000000p+34", None),
+    ((1024, 1024), "tangent", 10, {}, None,
+     "0x1.f286eaaaaaaabp+25", "0x1.5050000000000p+34", "0x1.e000000000000p+5"),
+    ((1024, 1024), "hmt", 10, {"p": 0, "k": 15}, ("gaussian", 1.0),
+     "0x1.4f38860000000p+26", "0x1.fe5d0c0000000p+25", "0x1.4000000000000p+6"),
+    ((1024, 1024), "hmt", 10, {"p": 0, "k": 15}, ("rademacher", 1.0),
+     "0x1.0ee2860000000p+26", "0x1.7db10c0000000p+25", "0x1.0400000000000p+6"),
+    ((1024, 1024), "hmt", 10, {"p": 0, "k": 15}, ("sparse", 0.2),
+     "0x1.bdcb0c0000000p+25", "0x1.1db70c0000000p+25", "0x1.a800000000000p+5"),
+    ((1024, 1024), "hmt", 10, {"p": 0, "k": 15}, ("sparse", 0.01),
+     "0x1.a6f88c0000000p+25", "0x1.06e48c0000000p+25", "0x1.9133333333333p+5"),
+    ((1024, 1024), "tropp", 10, {"k": 15, "l": 25}, ("gaussian", 1.0),
+     "0x1.ac791a0000000p+26", "0x1.5c6f1a0000000p+26", "0x1.9000000000000p+6"),
+    ((1024, 1024), "tropp", 10, {"k": 15, "l": 25}, ("rademacher", 1.0),
+     "0x1.fee4340000000p+25", "0x1.5ed0340000000p+25", "0x1.e000000000000p+5"),
+    ((1024, 1024), "tropp", 10, {"k": 15, "l": 25}, ("sparse", 0.2),
+     "0x1.f938680000000p+24", "0x1.7220d00000000p+23", "0x1.c000000000000p+4"),
+    ((1024, 1024), "tropp", 10, {"k": 15, "l": 25}, ("sparse", 0.01),
+     "0x1.7e63680000000p+24", "0x1.f1db400000000p+21", "0x1.4666666666666p+4"),
+    ((1024, 1024), "gn", 10, {"l": 40}, ("gaussian", 1.0),
+     "0x1.f55852aaaaaabp+26", "0x1.a55852aaaaaabp+26", "0x1.e000000000000p+6"),
+    ((1024, 1024), "gn", 10, {"l": 40}, ("rademacher", 1.0),
+     "0x1.1d5452aaaaaabp+26", "0x1.9aa8a55555556p+25", "0x1.1800000000000p+6"),
+    ((1024, 1024), "gn", 10, {"l": 40}, ("sparse", 0.2),
+     "0x1.f0794aaaaaaabp+24", "0x1.60f2955555556p+23", "0x1.e000000000000p+4"),
+    ((1024, 1024), "gn", 10, {"l": 40}, ("sparse", 0.01),
+     "0x1.57234aaaaaaabp+24", "0x1.7234aaaaaaab0p+20", "0x1.4800000000000p+4"),
+    ((40, 200), "svd", 8, {}, None,
+     "0x1.3885000000000p+22", "0x1.3880000000000p+22", None),
+    ((40, 200), "tangent", 8, {}, None,
+     "0x1.327d555555555p+19", "0x1.3880000000000p+22", "0x1.8000000000000p+5"),
+    ((40, 200), "hmt", 8, {"p": 2, "k": 11}, ("gaussian", 1.0),
+     "0x1.90c9aaaaaaaabp+20", "0x1.7175aaaaaaaabp+20", "0x1.2800000000000p+7"),
+    ((40, 200), "hmt", 8, {"p": 2, "k": 11}, ("rademacher", 1.0),
+     "0x1.735aaaaaaaaabp+20", "0x1.5406aaaaaaaabp+20", "0x1.1200000000000p+7"),
+    ((40, 200), "hmt", 8, {"p": 2, "k": 11}, ("sparse", 0.2),
+     "0x1.62302aaaaaaabp+20", "0x1.42dc2aaaaaaabp+20", "0x1.0066666666666p+7"),
+    ((40, 200), "hmt", 8, {"p": 2, "k": 11}, ("sparse", 0.01),
+     "0x1.5e15f11111111p+20", "0x1.3ec1f11111111p+20", "0x1.f870a3d70a3d7p+6"),
+    ((40, 200), "tropp", 8, {"k": 11, "l": 17}, ("gaussian", 1.0),
+     "0x1.16622aaaaaaabp+20", "0x1.ee1c555555556p+19", "0x1.2000000000000p+6"),
+    ((40, 200), "tropp", 8, {"k": 11, "l": 17}, ("rademacher", 1.0),
+     "0x1.2261555555555p+19", "0x1.c772aaaaaaaaap+18", "0x1.6000000000000p+5"),
+    ((40, 200), "tropp", 8, {"k": 11, "l": 17}, ("sparse", 0.2),
+     "0x1.794aaaaaaaaabp+18", "0x1.f7f5555555556p+17", "0x1.599999999999ap+4"),
+    ((40, 200), "tropp", 8, {"k": 11, "l": 17}, ("sparse", 0.01),
+     "0x1.4813c44444445p+18", "0x1.958788888888ap+17", "0x1.047ae147ae148p+4"),
+    ((40, 200), "gn", 8, {"l": 19}, ("gaussian", 1.0),
+     "0x1.bc7baaaaaaaabp+19", "0x1.7dfbaaaaaaaabp+19", "0x1.1800000000000p+6"),
+    ((40, 200), "gn", 8, {"l": 19}, ("rademacher", 1.0),
+     "0x1.765b555555555p+18", "0x1.f2b6aaaaaaaaap+17", "0x1.5800000000000p+5"),
+    ((40, 200), "gn", 8, {"l": 19}, ("sparse", 0.2),
+     "0x1.9352aaaaaaaabp+17", "0x1.32a5555555556p+16", "0x1.5666666666667p+4"),
+    ((40, 200), "gn", 8, {"l": 19}, ("sparse", 0.01),
+     "0x1.3f61aaaaaaaabp+17", "0x1.1586aaaaaaaacp+15", "0x1.0451eb851eb85p+4"),
+]
+
+
+@pytest.mark.parametrize("shape, method, r, sizes, sketch, per_iter, init, dominant", PINNED)
+def test_pinned_bit_for_bit(shape, method, r, sizes, sketch, per_iter, init, dominant):
+    sketch = None if sketch is None else SketchSpec(*sketch)
+    spec = MethodSpec(method=method, r=r, sketch=sketch, **sizes)
+    assert flops_per_iteration(spec, *shape).hex() == per_iter
+    assert flops_init(spec, *shape).hex() == init
+    report = flop_report(spec, *shape)
+    assert (report.per_iteration_flops.hex(), report.init_flops.hex()) == (per_iter, init)
+    if dominant is None:
+        assert report.dominant_mn_coefficient is None
+    else:
+        assert dominant_coefficient(spec).hex() == dominant
+        assert report.dominant_mn_coefficient.hex() == dominant
+
+
 def test_wide_problem_costed_transposed():
     spec = MethodSpec(method="tangent", r=8)
     assert flops_per_iteration(spec, 100, 300) == flops_per_iteration(spec, 300, 100)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrap import BoxBounds, MethodSpec, SketchSpec
+from lrap import BoxBounds, MethodSpec, SketchSpec, SmoluchowskiSpec
 from lrap.harness import (
     ExperimentConfig,
     ImageProblem,
@@ -53,6 +53,52 @@ class TestParsing:
             parse_problem({"rows": 3})
         with pytest.raises(ValueError, match="unknown problem"):
             parse_problem({"type": "video"})
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            UniformProblem(rows=7, cols=5, seed=3),
+            ImageProblem(path="x.pgm"),
+            SmoluchowskiProblem(SmoluchowskiSpec(nodes=64, time=2.5, origin=0.1)),
+        ],
+    )
+    def test_problem_json_round_trip(self, problem):
+        assert parse_problem(problem.to_json()) == problem
+
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"type": "smoluchowski", "nodes": 4.5}, "nodes"),
+            ({"type": "smoluchowski", "nodes": "8"}, "nodes"),
+            ({"type": "smoluchowski", "nodes": True}, "nodes"),
+            ({"type": "smoluchowski", "time": "6"}, "time"),
+            ({"type": "smoluchowski", "step": None}, "step"),
+            ({"type": "uniform", "rows": 4.7, "cols": 5}, "rows"),
+            ({"type": "uniform", "rows": 4, "cols": "5"}, "cols"),
+            ({"type": "uniform", "rows": 4, "cols": 5, "seed": 1.5}, "seed"),
+        ],
+    )
+    def test_malformed_problem_numbers_rejected(self, raw, field):
+        with pytest.raises(ValueError, match=field):
+            parse_problem(raw)
+
+    def test_integral_numbers_accepted(self):
+        assert parse_problem({"type": "uniform", "rows": 4.0, "cols": 5}) == UniformProblem(4, 5)
+        smol = parse_problem({"type": "smoluchowski", "nodes": 16.0, "time": 2})
+        assert smol.spec.nodes == 16 and isinstance(smol.spec.nodes, int)
+        assert smol.spec.time == 2.0 and isinstance(smol.spec.time, float)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("r", 2.5), ("k", "12"), ("l", 12.5), ("p", 0.5),
+            ("iterations", "30"), ("iterations", float("inf")),
+        ],
+    )
+    def test_malformed_method_numbers_rejected(self, field, value):
+        raw = {"name": "tropp", "r": 8, "k": 12, "l": 16, "sketch": {"kind": "gaussian"}}
+        with pytest.raises(ValueError, match=field):
+            parse_method({**raw, field: value})
 
     def test_method_parsing(self):
         spec = parse_method(

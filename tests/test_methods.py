@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lrap.methods
 from lrap import (
     BoxBounds,
     IterateState,
@@ -186,11 +187,22 @@ class TestRandomizedDetails:
         assert np.array_equal(final.reconstruct(), manual.factors.reconstruct())
         assert len(trace) == 1
 
-    def test_collapse_retried_then_fatal_on_zero_iterate(self):
+    def test_collapse_retried_then_fatal_on_zero_iterate(self, monkeypatch):
         zero = LowRankFactors(u=np.zeros((10, 2)), v=np.zeros((8, 2)))
         spec = MethodSpec(method="gn", r=2, l=4, s=1, sketch=SPARSE)
+        draws = []
+        original = lrap.methods.gen_test_matrix
+        monkeypatch.setattr(
+            lrap.methods, "gen_test_matrix", lambda *a: draws.append(a) or original(*a)
+        )
         with pytest.raises(SketchCollapseError):
             run_method(zero, spec, target=np.ones((10, 8)))
+        # Two draws per attempt: the first attempt and its one retry.
+        assert len(draws) == 4
+        draws.clear()
+        with pytest.raises(SketchCollapseError):
+            ap_gn_step(IterateState(zero), spec, iteration_seed=1)
+        assert len(draws) == 4
 
 
 class TestRunMethod:
