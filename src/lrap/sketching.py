@@ -152,28 +152,36 @@ def gen_test_matrix(spec: SketchSpec, rows: int, cols: int):
     )
 
 
+def _operand(sketch, name: str, check_finite: bool):
+    # A sparse sign matrix is densified: a dense GEMM beats SciPy's sparse
+    # products at the sketch sizes the engines use, and the dense-sparse one
+    # copies the transpose of the other operand.
+    if isinstance(sketch, SparseSignMatrix):
+        return sketch.densify()
+    return as_matrix(sketch, name) if check_finite else sketch
+
+
 def apply_sketch_right(x, psi, check_finite: bool = True) -> np.ndarray:
     """Compute ``x @ psi`` where ``psi`` may be dense or a sparse sign matrix.
 
-    A sparse ``psi`` is densified: a dense GEMM beats SciPy's dense-sparse
-    product, which copies the transpose of ``x``.  ``check_finite=False``
-    skips the scan for non-finite entries.
+    ``check_finite=False`` skips the scan for non-finite entries.
     """
     if check_finite:
         x = as_matrix(x, "x")
-        if not isinstance(psi, SparseSignMatrix):
-            psi = as_matrix(psi, "psi")
+    psi = _operand(psi, "psi", check_finite)
     if x.shape[1] != psi.shape[0]:
         raise ValueError(f"cannot multiply {x.shape} by {psi.shape}")
-    return x @ (psi.densify() if isinstance(psi, SparseSignMatrix) else psi)
+    return x @ psi
 
 
 def apply_sketch_left(phi, x, check_finite: bool = True) -> np.ndarray:
-    """Compute ``phi @ x`` where ``phi`` may be dense or a sparse sign matrix."""
+    """Compute ``phi @ x`` where ``phi`` may be dense or a sparse sign matrix.
+
+    ``check_finite=False`` skips the scan for non-finite entries.
+    """
     if check_finite:
         x = as_matrix(x, "x")
-        if not isinstance(phi, SparseSignMatrix):
-            phi = as_matrix(phi, "phi")
+    phi = _operand(phi, "phi", check_finite)
     if phi.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {phi.shape} by {x.shape}")
-    return (phi.to_csr() if isinstance(phi, SparseSignMatrix) else phi) @ x
+    return phi @ x

@@ -156,14 +156,21 @@ class TestApplySketch:
     density=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**32),
 )
-def test_sparse_right_apply_is_the_dense_product(rows, inner, cols, density, seed):
+def test_sparse_apply_is_the_dense_product(rows, inner, cols, density, seed):
+    # Both sides multiply by densify(); SciPy's CSR product is the reference.
     x = np.random.default_rng(seed).standard_normal((rows, inner))
-    psi = gen_test_matrix(SketchSpec(kind="sparse", density=density, seed=seed), inner, cols)
-    out = apply_sketch_right(x, psi)
-    assert np.array_equal(out, x @ psi.densify())
-    assert np.array_equal(apply_sketch_right(x, psi, check_finite=False), out)
-    reference = x @ psi.to_csr()
-    assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
+    spec = SketchSpec(kind="sparse", density=density, seed=seed)
+    psi = gen_test_matrix(spec, inner, cols)
+    phi = gen_test_matrix(spec, cols, rows)
+    cases = (
+        (apply_sketch_right, (x, psi), x @ psi.densify(), x @ psi.to_csr()),
+        (apply_sketch_left, (phi, x), phi.densify() @ x, phi.to_csr() @ x),
+    )
+    for apply, args, dense, reference in cases:
+        out = apply(*args)
+        assert np.array_equal(out, dense)
+        assert np.array_equal(apply(*args, check_finite=False), out)
+        assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 def test_sub_seed_distinct_paths():
