@@ -7,11 +7,8 @@ at runtime.  Costing conventions:
   ``4 m n^2 - (4/3) n^3``;
 * SVD of a tall matrix: ``14 m n^2 + 8 n^3`` in general, ``6 m n^2 + 20 n^3``
   for strongly rectangular input, ``21 m^3`` for square input;
-* Gaussian sampling is priced at 75 flops per sample (one Box-Muller
-  application per pair, uniform draws included); sign matrices cost one
-  flop per entry to generate and one per entry to apply (no floating-point
-  multiplications); a sparse sign matrix of density ``rho`` costs
-  ``(1 + rho) m n`` to generate and ``rho m n`` per vector to apply.
+* each sketch kind has a cost per entry to draw and to apply, given its
+  density (``_ENTRY_COSTS``).
 
 Per-iteration totals assume the iterate is clamped, re-projected to rank r,
 and reconstructed densely.  Initial-approximation costs drop the dense
@@ -69,7 +66,8 @@ def flops_svd(m: int, n: int, variant: str = "general") -> float:
 
 
 # Flops per entry of a test matrix of each kind, given the density: to draw
-# the entry, and to apply it to one vector.
+# the entry (a Gaussian pair takes one Box-Muller application, uniform draws
+# included), and to apply it to one vector (a sign needs no multiplication).
 _ENTRY_COSTS = {
     "gaussian": lambda density: (75.0, 2.0),
     "rademacher": lambda density: (1.0, 1.0),
@@ -93,8 +91,6 @@ def flops_sketch_apply(kind: str, density: float, m: int, n: int, k: int) -> flo
 # costs of its sketch: the terms linear in m n, then the rest, in the order
 # they are summed.  Both include the reconstruction (2 m n r, plus n r to
 # scale by sigma).
-
-
 def _svd_terms(spec, m, n, gen, apply):
     r = spec.r
     return (), (flops_svd(m, n, "square" if m == n else "general"), 2.0 * m * n * r, n * r)
@@ -114,9 +110,9 @@ def _hmt_terms(spec, m, n, gen, apply):
 
 def _tropp_terms(spec, m, n, gen, apply):
     r, k, l = spec.r, spec.k, spec.l
-    small = (apply * m * k * l, 5.0 * m * k * k, 7.0 * n * k * k, 2.0 * n * k * l)
-    rest = (gen * (n * k + m * l), n * r, (17.0 + 1.0 / 3.0) * k**3, 4.0 * l * k * k)
-    return ((2.0 * r + apply * k + apply * l) * m * n,), small + rest
+    rest = (apply * m * k * l, 5.0 * m * k * k, 7.0 * n * k * k, 2.0 * n * k * l)
+    rest += (gen * (n * k + m * l), n * r, (17.0 + 1.0 / 3.0) * k**3, 4.0 * l * k * k)
+    return ((2.0 * r + apply * k + apply * l) * m * n,), rest
 
 
 def _gn_terms(spec, m, n, gen, apply):

@@ -116,20 +116,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown init policy {self.init!r}, expected one of {INIT_POLICIES}")
 
 
-def _integer(value, name: str) -> int:
-    """An integral JSON number as an int: ``4`` and ``4.0``, not ``4.5``, ``"4"`` or true."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _number(value, name: str) -> float:
-    """A JSON number as a float; strings and booleans are rejected."""
+def _number(value, name: str, kind: type = float):
+    """A JSON number as ``kind``; booleans, strings and non-integral ints are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+        if kind is float or isinstance(value, int) or value.is_integer():
+            return kind(value)
+    raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def parse_problem(raw: dict):
@@ -139,15 +131,15 @@ def parse_problem(raw: dict):
     kind = raw["type"]
     if kind == "uniform":
         return UniformProblem(
-            rows=_integer(raw["rows"], "rows"),
-            cols=_integer(raw["cols"], "cols"),
-            seed=_integer(raw.get("seed", 0), "seed"),
+            rows=_number(raw["rows"], "rows", int),
+            cols=_number(raw["cols"], "cols", int),
+            seed=_number(raw.get("seed", 0), "seed", int),
         )
     if kind == "image":
         return ImageProblem(path=str(raw["path"]))
     if kind == "smoluchowski":
         spec = {
-            f.name: (_integer if isinstance(f.default, int) else _number)(raw[f.name], f.name)
+            f.name: _number(raw[f.name], f.name, type(f.default))
             for f in fields(SmoluchowskiSpec)
             if f.name in raw
         }
@@ -165,7 +157,7 @@ def parse_method(raw: dict) -> MethodSpec:
         sketch = SketchSpec(
             kind=s["kind"],
             density=_number(s.get("density", 1.0), "density"),
-            seed=_integer(s.get("seed", 0), "seed"),
+            seed=_number(s.get("seed", 0), "seed", int),
         )
     box = BoxBounds()
     if raw.get("box") is not None:
@@ -175,11 +167,11 @@ def parse_method(raw: dict) -> MethodSpec:
         box = BoxBounds(lo=lo, hi=hi)
     return MethodSpec(
         method=str(raw["name"]),
-        r=_integer(raw["r"], "r"),
-        k=None if raw.get("k") is None else _integer(raw["k"], "k"),
-        l=None if raw.get("l") is None else _integer(raw["l"], "l"),
-        p=_integer(raw.get("p", 0), "p"),
-        s=_integer(raw.get("iterations", 0), "iterations"),
+        r=_number(raw["r"], "r", int),
+        k=None if raw.get("k") is None else _number(raw["k"], "k", int),
+        l=None if raw.get("l") is None else _number(raw["l"], "l", int),
+        p=_number(raw.get("p", 0), "p", int),
+        s=_number(raw.get("iterations", 0), "iterations", int),
         sketch=sketch,
         box=box,
     )
@@ -190,11 +182,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(
             problem=parse_problem(raw["problem"]),
             method=parse_method(raw["method"]),
-            trials=_integer(raw.get("trials", 1), "trials"),
-            master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
+            trials=_number(raw.get("trials", 1), "trials", int),
+            master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
             output_dir=str(raw["output_dir"]),
             init=str(raw.get("init", "svd")),
-            workers=None if raw.get("workers") is None else _integer(raw["workers"], "workers"),
+            workers=None if raw.get("workers") is None else _number(raw["workers"], "workers", int),
         )
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None

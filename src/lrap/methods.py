@@ -42,7 +42,6 @@ from .sketching import (
 
 __all__ = [
     "ENGINES",
-    "METHOD_NAMES",
     "Engine",
     "IterateState",
     "MethodSpec",
@@ -105,7 +104,7 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.method not in ENGINES:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHOD_NAMES}")
+            raise ValueError(f"unknown method {self.method!r}, expected one of {tuple(ENGINES)}")
         engine = ENGINES[self.method]
         if self.r < 1:
             raise ValueError(f"target rank must be >= 1, got {self.r}")
@@ -235,9 +234,12 @@ def _project_gn(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
 
 
 class Engine(NamedTuple):
-    """``project(x, factors, spec, iteration_seed)`` maps the clamped iterate to
-    rank-r factors (``factors`` is the previous iterate, None for the first);
-    ``params`` are the fields that the compact form ``name(a,b)`` sets, in order."""
+    """One engine: its rank-r projection and the parameters of its compact form.
+
+    ``project(x, factors, spec, iteration_seed)`` maps the clamped iterate to
+    rank-r factors; ``factors`` is the previous iterate, None for the first.
+    ``params`` are the fields that ``name(a,b)`` sets, in order.
+    """
 
     project: Callable[..., LowRankFactors]
     params: tuple[str, ...] = ()
@@ -251,12 +253,11 @@ ENGINES = {
     "tropp": Engine(_project_tropp, ("k", "l"), sketched=True),
     "gn": Engine(_project_gn, ("l",), sketched=True),
 }
-METHOD_NAMES = tuple(ENGINES)
 
 
 def _advance(dense, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
-    """Clamp ``dense`` into the box and project it to rank r, retrying a
-    collapsed sketch once with a fresh sub-stream; a second collapse propagates."""
+    """Clamp ``dense`` into the box and project it to rank r; a collapsed
+    sketch is redrawn once from a fresh sub-stream, a second collapse raises."""
     x = project_box(dense, spec.box)
     project = ENGINES[spec.method].project
     try:
