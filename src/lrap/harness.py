@@ -129,14 +129,17 @@ def parse_problem(raw: dict):
     if not isinstance(raw, dict) or "type" not in raw:
         raise ValueError("problem must be an object with a 'type' key")
     kind = raw["type"]
-    if kind == "uniform":
-        return UniformProblem(
-            rows=_number(raw["rows"], "rows", int),
-            cols=_number(raw["cols"], "cols", int),
-            seed=_number(raw.get("seed", 0), "seed", int),
-        )
-    if kind == "image":
-        return ImageProblem(path=str(raw["path"]))
+    try:
+        if kind == "uniform":
+            return UniformProblem(
+                rows=_number(raw["rows"], "rows", int),
+                cols=_number(raw["cols"], "cols", int),
+                seed=_number(raw.get("seed", 0), "seed", int),
+            )
+        if kind == "image":
+            return ImageProblem(path=str(raw["path"]))
+    except KeyError as missing:
+        raise ValueError(f"{kind} problem is missing required key {missing}") from None
     if kind == "smoluchowski":
         spec = {
             f.name: _number(raw[f.name], f.name, type(f.default))

@@ -128,4 +128,5 @@ def svd_truncated(a, r: int) -> LowRankFactors:
     if not 1 <= r <= min(a.shape):
         raise ValueError(f"rank {r} out of range for shape {a.shape}")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    return LowRankFactors(u=u[:, :r], v=vt[:r].T, sigma=sigma[:r])
+    # Copies, so that the factors do not keep the whole of u and vt alive.
+    return LowRankFactors(u=u[:, :r].copy(), v=vt[:r].T.copy(), sigma=sigma[:r].copy())

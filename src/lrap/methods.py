@@ -16,21 +16,30 @@ Five ways to realize the rank-r projection half of the iteration:
 :data:`ENGINES` defines each one: its projection and the parameters of its
 compact form.  Each engine is exposed both as a single step acting on an
 :class:`IterateState` and through the :func:`run_method` driver, which
-materializes the dense iterate once per iteration and records metrics.
-Both clamp and project through one iteration, which retries a collapsed
-sketch once with a fresh stream before giving up.
+records metrics.  Both clamp through :func:`clamp_iterate` and project
+through one iteration, which retries a collapsed sketch once with a fresh
+stream before giving up.
+
+The clamped iterate X = Pi_box(Y) of the low-rank Y = u diag(sigma) v.T is
+never stored densely: it is Y plus a sparse correction that is nonzero only
+where Y leaves the box (:class:`ClampedIterate`).  One row-blocked pass over
+Y finds that correction and the iteration's metrics; the engines use X only
+through the products ``X @ B`` and ``A @ X``, and ``svd`` alone forms X.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import solve_triangular
 
 from .linalg import LowRankFactors, as_matrix, qr_thin, svd_truncated
-from .metrics import IterationRecord, iteration_record, target_norms
+from .metrics import NOISE_THRESHOLD, IterationRecord, ViolationStats, target_norms
+from .metrics import iteration_record  # noqa: F401  (the record's reference, looked up here by tracers)
 from .projections import NONNEGATIVE, BoxBounds, project_box
 from .sketching import (
     SketchSpec,
@@ -42,6 +51,7 @@ from .sketching import (
 
 __all__ = [
     "ENGINES",
+    "ClampedIterate",
     "Engine",
     "IterateState",
     "MethodSpec",
@@ -51,6 +61,7 @@ __all__ = [
     "ap_svd_step",
     "ap_tangent_step",
     "ap_tropp_step",
+    "clamp_iterate",
     "initialize",
     "run_method",
     "tangent_space_apply",
@@ -60,6 +71,10 @@ __all__ = [
 # tag that keeps the retry stream disjoint from every iteration stream.
 _PSI, _PHI = 0, 1
 _RETRY = 2**31
+
+# Entries per block of the clamp pass: a block of Y, its difference from the
+# target and its mask stay in cache between the operations on them.
+_BLOCK_ENTRIES = 1 << 15
 
 
 class SketchCollapseError(RuntimeError):
@@ -131,6 +146,132 @@ class IterateState:
     iteration: int = 0
 
 
+def _row_blocks(m: int, n: int):
+    """Row slices of an m x n matrix, about ``_BLOCK_ENTRIES`` entries each."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
+class ClampedIterate:
+    """The clamped iterate X = Pi_box(Y) of a low-rank Y, kept as Y + C.
+
+    Y = ``left @ right`` stays factored and the correction C = X - Y is a CSR
+    matrix, nonzero only where Y leaves the box.  So ``X @ B`` is
+    ``left @ (right @ B) + C @ B`` and ``A @ X`` is ``(A @ left) @ right +
+    A @ C``; neither forms X.  ``__array_ufunc__ = None`` makes ``A @ X``
+    with an ndarray ``A`` defer to :meth:`__rmatmul__`.
+
+    ``errors`` holds the relative Frobenius and Chebyshev errors of Y
+    against the target of :func:`clamp_iterate` (None without one), and
+    ``violations`` the :class:`ViolationStats` of Y.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, left, right, flat, clamped, correction, errors, violations):
+        self._left = left  # u diag(sigma), m x r
+        self._right = right  # v.T, r x n
+        self._flat = flat  # row-major indices of the entries outside the box
+        self._clamped = clamped  # X at those entries
+        self._correction = correction
+        self.shape = (left.shape[0], right.shape[1])
+        self.errors = errors
+        self.violations = violations
+
+    def __matmul__(self, b):
+        return self._left @ (self._right @ b) + self._correction @ b
+
+    def __rmatmul__(self, a):
+        return (a @ self._left) @ self._right + a @ self._correction
+
+    def toarray(self) -> np.ndarray:
+        """X as one dense array, its blocks of Y formed as the clamp pass formed them."""
+        out = np.empty(self.shape)
+        for rows in _row_blocks(*self.shape):
+            np.matmul(self._left[rows], self._right, out=out[rows])
+        out.ravel()[self._flat] = self._clamped
+        return out
+
+
+def _side(magnitude: np.ndarray, size: int) -> tuple[float, float, float]:
+    # Frobenius norm, largest magnitude and density of one side's violations.
+    if not magnitude.size:
+        return 0.0, 0.0, 0.0
+    return float(np.linalg.norm(magnitude)), float(magnitude.max()), magnitude.size / size
+
+
+def clamp_iterate(
+    factors: LowRankFactors,
+    box: BoxBounds = NONNEGATIVE,
+    target: np.ndarray | None = None,
+    norms: tuple[float, float] | None = None,
+) -> ClampedIterate:
+    """Clamp the low-rank Y of ``factors`` into ``box`` in one pass over Y.
+
+    The pass forms Y in row blocks of about ``_BLOCK_ENTRIES`` entries, one
+    GEMM each, in a fixed order.  It gathers the entries outside the box,
+    clamps them with :func:`project_box` and returns X = Pi_box(Y) as a
+    :class:`ClampedIterate`.  On the way it sums ``||target - Y||^2`` and
+    ``max|target - Y|`` when a float64 ``target`` of Y's shape is given
+    (``norms`` defaults to its :func:`target_norms`), and the violations of
+    ``violation_stats(Y, box)``.  A non-finite Y raises: a block
+    whose sum of squares of ``target - Y``, or of Y without a target, is not
+    finite is scanned.
+    """
+    left = factors.u if factors.sigma is None else factors.u * factors.sigma
+    right = np.ascontiguousarray(factors.v.T)
+    m, n = factors.shape
+    blocks = _row_blocks(m, n)
+    rows = blocks[0].stop
+    y = np.empty((rows, n))
+    diff = None if target is None else np.empty_like(y)
+    outside = np.empty((rows, n), dtype=bool)
+    above = np.empty_like(outside)
+    sum_squares, chebyshev = 0.0, 0.0
+    flat, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for block in blocks:
+        count = block.stop - block.start
+        yb = np.matmul(left[block], right, out=y[:count])
+        db = yb
+        if target is not None:
+            db = np.subtract(target[block], yb, out=diff[:count])
+            # max|d| as max(max d, -min d); starting from +0.0 keeps the
+            # +0.0 of |d| when d holds only zeros, some of them -0.0.
+            chebyshev = max(chebyshev, db.max(), -db.min())
+        squares = np.dot(db.ravel(), db.ravel())
+        sum_squares += squares
+        # Finite entries large enough to overflow the sum of squares also
+        # give a non-finite sum, so only then is the block scanned.
+        if not math.isfinite(squares) and not np.isfinite(yb).all():
+            raise ValueError("iterate contains non-finite entries")
+        mask = np.less(yb, box.lo, out=outside[:count])
+        if box.hi < math.inf:
+            mask |= np.greater(yb, box.hi, out=above[:count])
+        index = np.flatnonzero(mask)
+        if index.size:
+            flat.append(index + block.start * n)
+            values.append(yb.ravel()[index])
+    flat = np.concatenate(flat)
+    values = np.concatenate(values)
+    clamped = project_box(values[np.newaxis], box)[0]
+    row, col = np.divmod(flat, n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))
+    correction = scipy.sparse.csr_array((clamped - values, col, indptr), shape=(m, n))
+
+    errors = None
+    if target is not None:
+        fro, cheb = target_norms(target) if norms is None else norms
+        errors = (float(math.sqrt(sum_squares) / fro), float(chebyshev / cheb))
+    # The entries outside the box include every one past a bound by more
+    # than the threshold; a side's largest magnitude is that of its extreme
+    # entry, as rounding is monotone.
+    violations = ViolationStats(
+        *_side(box.lo - values[values < box.lo - NOISE_THRESHOLD], m * n),
+        *_side(values[values > box.hi + NOISE_THRESHOLD] - box.hi, m * n),
+    )
+    return ClampedIterate(left, right, flat, clamped, correction, errors, violations)
+
+
 def _check_triangular(r_factor: np.ndarray, context: str):
     # Only exact singularity counts as a collapse: targets of low numerical
     # rank legitimately produce tiny trailing diagonal entries.
@@ -159,14 +300,17 @@ def tangent_space_apply(x, u, v) -> np.ndarray:
     return u @ utx + (xv - u @ (utx @ v)) @ v.T
 
 
-def _project_svd(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
+def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
+    # The one engine that needs X itself, not its products.
+    if isinstance(x, ClampedIterate):
+        x = x.toarray()
     return svd_truncated(x, spec.r)
 
 
-def _project_tangent(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
+def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     if factors is None:
         # No base point yet: project onto the whole rank-r manifold.
-        return svd_truncated(x, spec.r)
+        return _project_svd(x, factors, spec, iteration_seed)
     if factors.sigma is None:
         raise ValueError("tangent step requires SVD-form factors (u, sigma, v)")
     r = spec.r
@@ -188,7 +332,7 @@ def _project_tangent(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: i
     )
 
 
-def _project_hmt(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
+def _project_hmt(x, factors, spec: MethodSpec, iteration_seed: int):
     n = x.shape[1]
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
     z1 = apply_sketch_right(x, psi, check_finite=False)
@@ -206,7 +350,7 @@ def _project_hmt(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
 
 
-def _project_tropp(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
+def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
     m, n = x.shape
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
     phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
@@ -220,7 +364,7 @@ def _project_tropp(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
 
 
-def _project_gn(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
+def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
     m, n = x.shape
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.r)
     phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
@@ -236,8 +380,9 @@ def _project_gn(x: np.ndarray, factors, spec: MethodSpec, iteration_seed: int):
 class Engine(NamedTuple):
     """One engine: its rank-r projection and the parameters of its compact form.
 
-    ``project(x, factors, spec, iteration_seed)`` maps the clamped iterate to
-    rank-r factors; ``factors`` is the previous iterate, None for the first.
+    ``project(x, factors, spec, iteration_seed)`` maps the clamped iterate
+    (a :class:`ClampedIterate`, or a dense target for the first) to rank-r
+    factors; ``factors`` is the previous iterate, None for the first.
     ``params`` are the fields that ``name(a,b)`` sets, in order.
     """
 
@@ -255,10 +400,9 @@ ENGINES = {
 }
 
 
-def _advance(dense, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
-    """Clamp ``dense`` into the box and project it to rank r; a collapsed
-    sketch is redrawn once from a fresh sub-stream, a second collapse raises."""
-    x = project_box(dense, spec.box)
+def _advance(x: ClampedIterate, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
+    """Project the clamped iterate ``x`` to rank r; a collapsed sketch is
+    redrawn once from a fresh sub-stream, a second collapse raises."""
     project = ENGINES[spec.method].project
     try:
         return project(x, factors, spec, iteration_seed)
@@ -269,7 +413,8 @@ def _advance(dense, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFa
 def _step(method: str, state: IterateState, spec: MethodSpec, iteration_seed: int):
     if spec.method != method:
         raise ValueError(f"spec selects {spec.method!r}, step implements {method!r}")
-    factors = _advance(state.factors.reconstruct(), state.factors, spec, iteration_seed)
+    x = clamp_iterate(state.factors, spec.box)
+    factors = _advance(x, state.factors, spec, iteration_seed)
     return IterateState(factors=factors, iteration=state.iteration + 1)
 
 
@@ -345,24 +490,24 @@ def run_method(
     if y0.rank > spec.r:
         raise ValueError(f"initial factors have rank {y0.rank} > target rank {spec.r}")
     # Rebuilding validates again arrays written to since y0 was built, which
-    # the loop's project_box would catch only if there is an iteration.
+    # the loop's clamp pass would catch only if there is an iteration.
     factors = LowRankFactors(y0.u, y0.v, y0.sigma)
     if spec.method == "tangent" and factors.sigma is None:
         factors = svd_truncated(factors.reconstruct(), spec.r)
-    dense = factors.reconstruct()
     if target is None:
-        target = dense.copy()
+        target = factors.reconstruct()
     else:
         target = as_matrix(target, "target")
-        if target.shape != dense.shape:
-            raise ValueError(f"shape mismatch: {target.shape} vs {dense.shape}")
+        if target.shape != factors.shape:
+            raise ValueError(f"shape mismatch: {target.shape} vs {factors.shape}")
     norms = target_norms(target)
 
     trace: list[IterationRecord] = []
+    x = clamp_iterate(factors, spec.box) if spec.s else None
     for i in range(1, spec.s + 1):
-        factors = _advance(dense, factors, spec, i)
-        dense = factors.reconstruct()
-        record = iteration_record(i, target, dense, spec.box, norms=norms)
+        factors = _advance(x, factors, spec, i)
+        x = clamp_iterate(factors, spec.box, target, norms)
+        record = IterationRecord(i, *x.errors, *x.violations)
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)

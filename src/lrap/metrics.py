@@ -60,13 +60,6 @@ def target_norms(target: np.ndarray) -> tuple[float, float]:
     return frobenius, max(target.max(), -target.min())
 
 
-def _errors(diff: np.ndarray, norms: tuple[float, float]) -> tuple[float, float]:
-    # max|d| as max(max d, -min d) needs no |d| temporary; abs() gives the
-    # +0.0 of |d| when d holds only zeros, some of them -0.0.
-    chebyshev = abs(max(diff.max(), -diff.min()))
-    return float(np.linalg.norm(diff) / norms[0]), float(chebyshev / norms[1])
-
-
 def relative_errors(target, approx) -> tuple[float, float]:
     """Relative Frobenius and Chebyshev errors of ``approx`` against ``target``.
 
@@ -76,7 +69,12 @@ def relative_errors(target, approx) -> tuple[float, float]:
     approx = as_matrix(approx, "approx")
     if target.shape != approx.shape:
         raise ValueError(f"shape mismatch: {target.shape} vs {approx.shape}")
-    return _errors(target - approx, target_norms(target))
+    frobenius, largest = target_norms(target)
+    diff = target - approx
+    # max|d| as max(max d, -min d) needs no |d| temporary; abs() gives the
+    # +0.0 of |d| when d holds only zeros, some of them -0.0.
+    chebyshev = abs(max(diff.max(), -diff.min()))
+    return float(np.linalg.norm(diff) / frobenius), float(chebyshev / largest)
 
 
 def _violations(x: np.ndarray, bounds: BoxBounds, threshold: float) -> ViolationStats:
@@ -126,20 +124,11 @@ def iteration_record(
     approx,
     bounds: BoxBounds = NONNEGATIVE,
     threshold: float = NOISE_THRESHOLD,
-    norms: tuple[float, float] | None = None,
 ) -> IterationRecord:
-    """Assemble the full per-iteration record for one iterate.
+    """Assemble the full per-iteration record for one dense iterate.
 
-    A run passes its target's :func:`target_norms`, computed once; then
-    ``target`` and ``approx`` are taken as float64 matrices of one shape, and
-    a non-finite ``approx`` is caught through ``|target - approx|``.
+    :func:`lrap.methods.run_method` gathers the same record in its clamp pass
+    (:func:`lrap.methods.clamp_iterate`); this is its dense reference.
     """
-    if norms is None:
-        rel = relative_errors(target, approx)
-        return IterationRecord(iteration, *rel, *violation_stats(approx, bounds, threshold))
-    rel_fro, rel_cheb = _errors(target - approx, norms)
-    # Finite entries large enough to overflow the sum of squares also give a
-    # non-finite norm, so only then is the iterate scanned.
-    if not math.isfinite(rel_fro) and not np.isfinite(approx).all():
-        raise ValueError("approx contains non-finite entries")
-    return IterationRecord(iteration, rel_fro, rel_cheb, *_violations(approx, bounds, threshold))
+    rel = relative_errors(target, approx)
+    return IterationRecord(iteration, *rel, *violation_stats(approx, bounds, threshold))

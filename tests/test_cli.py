@@ -150,6 +150,18 @@ class TestMainSpectrum:
         assert code == 1
         assert "nodes must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ('{"type": "uniform", "rows": 4}', "uniform problem is missing required key 'cols'"),
+            ('{"type": "image"}', "image problem is missing required key 'path'"),
+        ],
+    )
+    def test_missing_key_fails_cleanly(self, tmp_path, capsys, problem, message):
+        code = main(["spectrum", problem, "--count", "3", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bad_count(self, tmp_path, capsys):
         code = main(
             ["spectrum", '{"type": "uniform", "rows": 4, "cols": 4, "seed": 1}',

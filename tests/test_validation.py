@@ -88,7 +88,7 @@ class TestEntryPoints:
         with pytest.raises(ValueError, match="non-finite"):
             initialize(t, SPECS[method])
 
-    # The step's reconstruct meets the bad entry before project_box rejects it.
+    # The clamp pass forms the iterate from the bad entry before its sums reject it.
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_step_rejects_factors(self, method, bad):
         for where in ("u", "v", "sigma"):
