@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .problems import (
     SmoluchowskiSpec,
-    bessel_i0_log,
     gen_uniform,
     load_image_pgm,
     smoluchowski_concentration,

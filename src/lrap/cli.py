@@ -118,7 +118,7 @@ def _load_problem_arg(text: str):
     else:
         with open(text, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    if "problem" in raw and "type" not in raw:
+    if isinstance(raw, dict) and "problem" in raw and "type" not in raw:
         raw = raw["problem"]
     return parse_problem(raw)
 

@@ -124,6 +124,12 @@ def _number(value, name: str, kind: type = float):
     raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_problem(raw: dict):
     """Build a problem description from its JSON form."""
     if not isinstance(raw, dict) or "type" not in raw:
@@ -156,7 +162,7 @@ def parse_method(raw: dict) -> MethodSpec:
         raise ValueError("method must be an object with a 'name' key")
     sketch = None
     if raw.get("sketch") is not None:
-        s = raw["sketch"]
+        s = _object(raw["sketch"], "method.sketch")
         sketch = SketchSpec(
             kind=s["kind"],
             density=_number(s.get("density", 1.0), "density"),
@@ -164,7 +170,7 @@ def parse_method(raw: dict) -> MethodSpec:
         )
     box = BoxBounds()
     if raw.get("box") is not None:
-        b = raw["box"]
+        b = _object(raw["box"], "method.box")
         lo = -math.inf if b.get("lo") is None else _number(b["lo"], "lo")
         hi = math.inf if b.get("hi") is None else _number(b["hi"], "hi")
         box = BoxBounds(lo=lo, hi=hi)
@@ -181,6 +187,7 @@ def parse_method(raw: dict) -> MethodSpec:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    _object(raw, "config")
     try:
         return ExperimentConfig(
             problem=parse_problem(raw["problem"]),

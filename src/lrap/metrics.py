@@ -77,7 +77,16 @@ def relative_errors(target, approx) -> tuple[float, float]:
     return float(np.linalg.norm(diff) / frobenius), float(chebyshev / largest)
 
 
-def _violations(x: np.ndarray, bounds: BoxBounds, threshold: float) -> ViolationStats:
+def violation_stats(
+    x, bounds: BoxBounds = NONNEGATIVE, threshold: float = NOISE_THRESHOLD
+) -> ViolationStats:
+    """Norms and density of the entries violating the box on each side.
+
+    An entry violates below when ``x_ij < lo - |threshold|`` and above when
+    ``x_ij > hi + |threshold|``; the reported magnitudes are the full
+    distances to the bound.
+    """
+    x = as_matrix(x, "x")
     thr = abs(threshold)
     below = above = (0.0, 0.0, 0.0)
     # A side that is infinite or that no entry passes builds no array.  The
@@ -95,18 +104,6 @@ def _violations(x: np.ndarray, bounds: BoxBounds, threshold: float) -> Violation
         np.subtract(x, bounds.hi, out=magnitude, where=mask)
         above = (np.linalg.norm(magnitude), high - bounds.hi, np.count_nonzero(mask) / x.size)
     return ViolationStats(*(float(v) for v in below + above))
-
-
-def violation_stats(
-    x, bounds: BoxBounds = NONNEGATIVE, threshold: float = NOISE_THRESHOLD
-) -> ViolationStats:
-    """Norms and density of the entries violating the box on each side.
-
-    An entry violates below when ``x_ij < lo - |threshold|`` and above when
-    ``x_ij > hi + |threshold|``; the reported magnitudes are the full
-    distances to the bound.
-    """
-    return _violations(as_matrix(x, "x"), bounds, threshold)
 
 
 def normalized_spectrum(x) -> np.ndarray:

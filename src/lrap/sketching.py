@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .linalg import as_matrix
 
@@ -69,11 +68,6 @@ class SparseSignMatrix:
     @property
     def nnz(self) -> int:
         return self.values.size
-
-    def to_csr(self) -> scipy.sparse.csr_array:
-        return scipy.sparse.csr_array(
-            (self.values, (self.row_index, self.col_index)), shape=self.shape
-        )
 
     def densify(self) -> np.ndarray:
         out = np.zeros(self.shape)

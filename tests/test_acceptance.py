@@ -302,8 +302,10 @@ def test_criterion_6_matrix_finite_positive_symmetric(smoluchowski_matrix):
 def smoluchowski_mass_i0e(spec):
     """Mass matrix of ``spec`` evaluated with ``scipy.special.i0e``.
 
-    Independent of ``bessel_i0_log``: ``I0(z) = i0e(z) e^z`` keeps the
-    exponent ``z - a v1 - b v2`` nonpositive, so nothing overflows.
+    Written out from the closed form without the program's code, but it
+    shares ``i0e`` with the program, so criterion 6a's mpmath check is the
+    independent oracle.  ``I0(z) = i0e(z) e^z`` keeps the exponent
+    ``z - a v1 - b v2`` nonpositive, so nothing overflows.
     """
     v = spec.grid()
     a, b = spec.rate_a, spec.rate_b

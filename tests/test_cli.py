@@ -116,6 +116,21 @@ class TestMainRun:
         assert main(["run", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("sketch", "rad"), ("box", [0, 1])])
+    def test_non_object_method_field_fails_cleanly(self, tmp_path, capsys, key, value):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["method"][key] = value
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        assert f"error: method.{key} must be a JSON object" in capsys.readouterr().err
+
+    def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["run", str(path)]) == 1
+        assert "error: config must be a JSON object" in capsys.readouterr().err
+
 
 class TestMainSpectrum:
     def test_inline_problem(self, tmp_path):
@@ -161,6 +176,13 @@ class TestMainSpectrum:
         code = main(["spectrum", problem, "--count", "3", "--output", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_non_object_file_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "number.json"
+        path.write_text("7")
+        code = main(["spectrum", str(path), "--count", "3", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "error: problem must be an object" in capsys.readouterr().err
 
     def test_bad_count(self, tmp_path, capsys):
         code = main(

@@ -1,12 +1,12 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import i0e
 
 from lrap import (
     SmoluchowskiSpec,
-    bessel_i0_log,
     gen_uniform,
     load_image_pgm,
     smoluchowski_concentration,
@@ -33,31 +33,6 @@ class TestGenUniform:
         assert 115 < s[0] < 141  # mean * sqrt(m n) up to fluctuations
         assert s[1] / s[0] < 0.12
         assert s[1] / s[50] < 2.0  # noise bulk decays slowly
-
-
-class TestBesselI0Log:
-    def test_at_zero(self):
-        assert bessel_i0_log(0.0) == 0.0
-
-    def test_at_one(self):
-        # log(I0(1)) = log(1.2660658...) via the high-precision series
-        assert bessel_i0_log(1.0) == pytest.approx(0.23591435850717865, abs=1e-12)
-
-    def test_large_argument_against_scaled_oracle(self):
-        for z in (20.0, 137.0, 500.0, 1000.0):
-            ref = math.log(i0e(z)) + z
-            assert bessel_i0_log(z) == pytest.approx(ref, rel=1e-12)
-
-    def test_accuracy_sweep(self):
-        z = np.linspace(0.0, 1000.0, 2001)
-        ours = bessel_i0_log(z)
-        ref = np.log(i0e(z)) + z
-        # relative error of I0 itself is |expm1(delta log)|
-        assert np.abs(np.expm1(ours - ref)).max() < 1e-7
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            bessel_i0_log(-1.0)
 
 
 class TestSmoluchowski:
@@ -124,8 +99,37 @@ class TestSmoluchowski:
         m = smoluchowski_solution(SmoluchowskiSpec(nodes=64, origin=0.1))
         assert (m > 0).all()
 
+    def test_finite_and_accurate_where_i0_overflows(self):
+        # Arguments reach 1572 on this grid, and I0 overflows above about 713.
+        spec = SmoluchowskiSpec(step=1.0, nodes=800)
+        m = smoluchowski_solution(spec)
+        assert np.isfinite(m).all()
+
+        v = spec.grid()
+        rng = np.random.default_rng(800)
+        # Mostly near the diagonal, where the target stays above underflow.
+        rows = rng.integers(0, spec.nodes, size=120)
+        cols = np.clip(rows + rng.integers(-40, 41, size=120), 0, spec.nodes - 1)
+        checked = overflowing = 0
+        with mpmath.workdps(40):
+            sqrt_k = mpmath.sqrt(spec.kernel_constant)
+            tau = sqrt_k * spec.time
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                v1, v2 = mpmath.mpf(v[i]), mpmath.mpf(v[j])
+                argument = 2 * mpmath.sqrt(v1 * v2 * tau / (tau + 2))
+                reference = float(
+                    (v1 + v2) * sqrt_k * mpmath.e ** (-v1 - v2) / (1 + tau / 2) ** 2
+                    * mpmath.besseli(0, argument)
+                )
+                if reference < sys.float_info.min:
+                    continue  # underflows in double precision
+                assert abs(m[i, j] - reference) / reference <= 1e-12, (i, j)
+                checked += 1
+                overflowing += argument > 713
+        assert checked >= 100 and overflowing >= 50
+
     def test_spectrum_decay_on_default_grid(self):
-        # Decay of the default mass matrix as measured on the independent
+        # Decay of the default mass matrix as measured on the
         # scipy.special.i0e evaluation of the closed form (criterion 6b):
         # the 11th normalized singular value is 3.0e-2, and the spectrum
         # drops below 1e-12 at index 36.
