@@ -29,7 +29,7 @@ from .harness import (
     parse_problem,
     run_experiment,
 )
-from .methods import ENGINES, MethodSpec
+from .methods import ENGINES, MethodSpec, SketchCollapseError
 from .sketching import SketchSpec
 
 __all__ = ["main", "parse_method_string", "print_flop_table"]
@@ -90,11 +90,13 @@ def _method_label(spec: MethodSpec) -> str:
 def print_flop_table(m: int, n: int, specs, file=None) -> None:
     """Print per-iteration costs and dominant coefficients for each spec."""
     file = file or sys.stdout
+    # Every report is built before the first line is printed, so a spec that
+    # does not fit the shape leaves no partial table behind.
+    reports = [(spec, flop_report(spec, m, n)) for spec in specs]
     header = f"{'method':<16} {'sketch':<14} {'flops/iter':>12} {'coeff/mn':>10}"
     print(header, file=file)
     print("-" * len(header), file=file)
-    for spec in specs:
-        report = flop_report(spec, m, n)
+    for spec, report in reports:
         per_iter = two_significant(report.per_iteration_flops)
         coeff = report.dominant_mn_coefficient
         coeff = "n/a" if coeff is None else f"{coeff:g}"
@@ -194,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, json.JSONDecodeError, SketchCollapseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

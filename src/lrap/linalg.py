@@ -3,7 +3,8 @@
 All public functions operate on 2-D float64 arrays in row-major order,
 validate their inputs, and never mutate them.  The factorizations are
 backed by LAPACK: a Householder thin QR with the orthogonal factor formed
-explicitly, and a full bidiagonalization SVD that is truncated afterwards.
+explicitly, and a full bidiagonalization SVD that is truncated afterwards
+(of the transpose, for a wide input).
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def svd_truncated(a, r: int) -> LowRankFactors:
     a = as_matrix(a, "a")
     if not 1 <= r <= min(a.shape):
         raise ValueError(f"rank {r} out of range for shape {a.shape}")
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    if a.shape[0] < a.shape[1]:
+        # A wide input is factored through its transpose: LAPACK takes the
+        # F-ordered view ``a.T`` as a tall matrix and reduces it by a QR
+        # first, which beats its path for the wide matrix itself.
+        v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
+        u, vt = ut.T, v.T
+    else:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     # Copies, so that the factors do not keep the whole of u and vt alive.
     return LowRankFactors(u=u[:, :r].copy(), v=vt[:r].T.copy(), sigma=sigma[:r].copy())

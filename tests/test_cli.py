@@ -66,6 +66,13 @@ class TestMainFlops:
         assert main(["flops", "--size", "abc", "--rank", "4", "--spec", "svd"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_rank_too_large_prints_no_partial_table(self, capsys):
+        code = main(["flops", "--size", "100x200", "--rank", "500", "--spec", "hmt(0,600)"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: target rank 500")
+
 
 class TestMainRun:
     def config_file(self, tmp_path, out_dir):
@@ -124,6 +131,33 @@ class TestMainRun:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 1
         assert f"error: method.{key} must be a JSON object" in capsys.readouterr().err
+
+    def test_repeated_sketch_collapse_fails_cleanly(self, tmp_path, capsys):
+        # k > n with a sparse sketch: a sketch column is all zero with
+        # probability 0.7**12, and on this seed an iteration's draw and its
+        # redraw both have one, so the range factor is exactly singular twice.
+        raw = {
+            "problem": {"type": "uniform", "rows": 20, "cols": 12, "seed": 1},
+            "method": {
+                "name": "hmt",
+                "r": 5,
+                "k": 15,
+                "iterations": 3,
+                "sketch": {"kind": "sparse", "density": 0.3},
+            },
+            "trials": 1,
+            "master_seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "collapse.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hmt range sketch: sketch produced a singular")
+        # The same k > n config runs with a sign sketch, so the spec is valid.
+        raw["method"]["sketch"] = {"kind": "rademacher"}
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 0
 
     def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrap import LowRankFactors, qr_thin, svd_truncated
 from lrap.problems import gen_uniform
@@ -117,6 +119,53 @@ class TestSvdTruncated:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd_truncated(np.array([[1.0, np.inf], [0.0, 1.0]]), 1)
+
+
+@st.composite
+def svd_inputs(draw):
+    """A matrix in one orientation, possibly rank-deficient, and a target rank."""
+    orientation = draw(st.sampled_from(["wide", "tall", "square", "row", "column", "deficient"]))
+    small = draw(st.integers(2, 30))
+    large = draw(st.integers(small + 1, 60))
+    m, n = {
+        "wide": (small, large),
+        "tall": (large, small),
+        "square": (small, small),
+        "row": (1, large),
+        "column": (large, 1),
+        "deficient": (small, large),
+    }[orientation]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if orientation == "deficient":
+        inner = draw(st.integers(1, m - 1))
+        a = rng.standard_normal((m, inner)) @ rng.standard_normal((inner, n))
+    else:
+        a = rng.standard_normal((m, n))
+    return a, draw(st.integers(1, min(m, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=svd_inputs())
+def test_svd_truncated_in_every_orientation(case):
+    a, r = case
+    m, n = a.shape
+    f = svd_truncated(a, r)
+    assert f.u.shape == (m, r) and f.v.shape == (n, r)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(f.sigma - sigma[:r]).max() <= 1e-13 * sigma[0]
+    # Eckart-Young: the error of the best rank-r approximation is the tail.
+    err = np.linalg.norm(a - f.reconstruct())
+    assert abs(err - np.sqrt(np.sum(sigma[r:] ** 2))) <= 1e-13 * sigma[0] * np.sqrt(m * n)
+    assert np.abs(f.u.T @ f.u - np.eye(r)).max() <= 1e-13 * max(m, n)
+    assert np.abs(f.v.T @ f.v - np.eye(r)).max() <= 1e-13 * max(m, n)
+    # The factors own their memory, so they pin none of LAPACK's output.
+    assert f.u.base is None and f.v.base is None
+    if m >= n:
+        # Square and tall inputs take the direct factorization, unchanged.
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        assert np.array_equal(f.u, u[:, :r])
+        assert np.array_equal(f.v, vt[:r].T)
+        assert np.array_equal(f.sigma, s[:r])
 
 
 class TestLowRankFactors:

@@ -180,6 +180,46 @@ def test_sparse_apply_is_the_dense_product(rows, inner, cols, density, seed):
         assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
+def draw_sparse_by_2d_nonzero(spec: SketchSpec, rows: int, cols: int):
+    """Reference sparse draw: ``np.nonzero`` of the 2-D mask, on the stream
+    that ``gen_test_matrix`` seeds from ``spec.seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed % 2**64))
+    mask = rng.random((rows, cols)) < spec.density
+    row_index, col_index = np.nonzero(mask)
+    values = np.where(rng.random(row_index.size) < 0.5, 1.0, -1.0)
+    return row_index.astype(np.int64), col_index.astype(np.int64), values
+
+
+@st.composite
+def sketch_shapes(draw):
+    small = draw(st.integers(1, 30))
+    large = draw(st.integers(small, 90))
+    orientation = draw(st.sampled_from(["tall", "wide", "row", "column"]))
+    return {
+        "tall": (large, small),
+        "wide": (small, large),
+        "row": (1, large),
+        "column": (large, 1),
+    }[orientation]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=sketch_shapes(),
+    density=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    seed=st.integers(-(2**63), 2**64),
+)
+def test_sparse_draw_is_bitwise_the_2d_nonzero_draw(shape, density, seed):
+    spec = SketchSpec(kind="sparse", density=density, seed=seed)
+    sketch = gen_test_matrix(spec, *shape)
+    row_index, col_index, values = draw_sparse_by_2d_nonzero(spec, *shape)
+    assert sketch.row_index.dtype == np.int64 and sketch.col_index.dtype == np.int64
+    assert np.array_equal(sketch.row_index, row_index)
+    assert np.array_equal(sketch.col_index, col_index)
+    assert sketch.values.dtype == values.dtype
+    assert np.array_equal(sketch.values, values)
+
+
 def test_sub_seed_distinct_paths():
     seeds = {sub_seed(7, i, role) for i in range(50) for role in (0, 1)}
     assert len(seeds) == 100
