@@ -29,7 +29,7 @@ from .harness import (
     parse_problem,
     run_experiment,
 )
-from .methods import ENGINES, MethodSpec, SketchCollapseError
+from .methods import ENGINES, MethodSpec
 from .sketching import SketchSpec
 
 __all__ = ["main", "parse_method_string", "print_flop_table"]
@@ -194,9 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Malformed JSON and a collapsed sketch (a LinAlgError) are ValueErrors.
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, SketchCollapseError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -130,22 +131,27 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _required(raw: dict, key: str, owner: str):
+    """``raw[key]``, or a ValueError naming the key and the object that lacks it."""
+    if key not in raw:
+        raise ValueError(f"{owner} is missing required key {key!r}")
+    return raw[key]
+
+
 def parse_problem(raw: dict):
     """Build a problem description from its JSON form."""
     if not isinstance(raw, dict) or "type" not in raw:
         raise ValueError("problem must be an object with a 'type' key")
     kind = raw["type"]
-    try:
-        if kind == "uniform":
-            return UniformProblem(
-                rows=_number(raw["rows"], "rows", int),
-                cols=_number(raw["cols"], "cols", int),
-                seed=_number(raw.get("seed", 0), "seed", int),
-            )
-        if kind == "image":
-            return ImageProblem(path=str(raw["path"]))
-    except KeyError as missing:
-        raise ValueError(f"{kind} problem is missing required key {missing}") from None
+    owner = f"{kind} problem"
+    if kind == "uniform":
+        return UniformProblem(
+            rows=_number(_required(raw, "rows", owner), "rows", int),
+            cols=_number(_required(raw, "cols", owner), "cols", int),
+            seed=_number(raw.get("seed", 0), "seed", int),
+        )
+    if kind == "image":
+        return ImageProblem(path=str(_required(raw, "path", owner)))
     if kind == "smoluchowski":
         spec = {
             f.name: _number(raw[f.name], f.name, type(f.default))
@@ -164,7 +170,7 @@ def parse_method(raw: dict) -> MethodSpec:
     if raw.get("sketch") is not None:
         s = _object(raw["sketch"], "method.sketch")
         sketch = SketchSpec(
-            kind=s["kind"],
+            kind=_required(s, "kind", "method.sketch"),
             density=_number(s.get("density", 1.0), "density"),
             seed=_number(s.get("seed", 0), "seed", int),
         )
@@ -176,7 +182,7 @@ def parse_method(raw: dict) -> MethodSpec:
         box = BoxBounds(lo=lo, hi=hi)
     return MethodSpec(
         method=str(raw["name"]),
-        r=_number(raw["r"], "r", int),
+        r=_number(_required(raw, "r", "method"), "r", int),
         k=None if raw.get("k") is None else _number(raw["k"], "k", int),
         l=None if raw.get("l") is None else _number(raw["l"], "l", int),
         p=_number(raw.get("p", 0), "p", int),
@@ -188,18 +194,15 @@ def parse_method(raw: dict) -> MethodSpec:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     _object(raw, "config")
-    try:
-        return ExperimentConfig(
-            problem=parse_problem(raw["problem"]),
-            method=parse_method(raw["method"]),
-            trials=_number(raw.get("trials", 1), "trials", int),
-            master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
-            output_dir=str(raw["output_dir"]),
-            init=str(raw.get("init", "svd")),
-            workers=None if raw.get("workers") is None else _number(raw["workers"], "workers", int),
-        )
-    except KeyError as missing:
-        raise ValueError(f"config is missing required key {missing}") from None
+    return ExperimentConfig(
+        problem=parse_problem(_required(raw, "problem", "config")),
+        method=parse_method(_required(raw, "method", "config")),
+        trials=_number(raw.get("trials", 1), "trials", int),
+        master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
+        output_dir=str(_required(raw, "output_dir", "config")),
+        init=str(raw.get("init", "svd")),
+        workers=None if raw.get("workers") is None else _number(raw["workers"], "workers", int),
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -258,12 +261,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
 
-    if workers == 1:
-        results = [_run_trial(config, t) for t in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_trial, config, t) for t in range(config.trials)]
-            results = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(partial(_run_trial, config), range(config.trials)))
 
     all_rows = np.stack([rows for _, _, rows, _ in results])
     for t, (_, _, rows, _) in enumerate(results):

@@ -16,9 +16,9 @@ Five ways to realize the rank-r projection half of the iteration:
 :data:`ENGINES` defines each one: its projection and the parameters of its
 compact form.  Each engine is exposed both as a single step acting on an
 :class:`IterateState` and through the :func:`run_method` driver, which
-records metrics.  Both clamp through :func:`clamp_iterate` and project
-through one iteration, which retries a collapsed sketch once with a fresh
-stream before giving up.
+records metrics.  Both clamp through :func:`clamp_iterate`; they and
+:func:`initialize` project through one dispatch, which redraws a collapsed
+sketch once before giving up.
 
 The clamped iterate X = Pi_box(Y) of the low-rank Y = u diag(sigma) v.T is
 never stored densely: it is Y plus a sparse correction that is nonzero only
@@ -77,11 +77,8 @@ _RETRY = 2**31
 _BLOCK_ENTRIES = 1 << 15
 
 
-class SketchCollapseError(RuntimeError):
-    """A sketch produced an exactly singular triangular factor.
-
-    Retryable: drawing a fresh test matrix almost surely avoids it.
-    """
+class SketchCollapseError(np.linalg.LinAlgError):
+    """A sketch and its one redraw both gave an exactly singular triangular factor."""
 
 
 @dataclass(frozen=True)
@@ -272,14 +269,6 @@ def clamp_iterate(
     return ClampedIterate(left, right, flat, clamped, correction, errors, violations)
 
 
-def _check_triangular(r_factor: np.ndarray, context: str):
-    # Only exact singularity counts as a collapse: targets of low numerical
-    # rank legitimately produce tiny trailing diagonal entries.
-    diag = np.diag(r_factor)
-    if (diag == 0.0).any() or not np.isfinite(diag).all():
-        raise SketchCollapseError(f"{context}: sketch produced a singular triangular factor")
-
-
 def _iteration_sketch(spec: MethodSpec, iteration_seed: int, role: int) -> SketchSpec:
     seed = sub_seed(spec.sketch.seed, iteration_seed, role)
     return replace(spec.sketch, seed=seed)
@@ -335,16 +324,11 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
 def _project_hmt(x, factors, spec: MethodSpec, iteration_seed: int):
     n = x.shape[1]
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
-    z1 = apply_sketch_right(x, psi, check_finite=False)
-    q, r_factor = qr_thin(z1)
-    _check_triangular(r_factor, "hmt range sketch")
+    # Only the orthonormal bases are used, so a rank-deficient sketch is harmless.
+    q, _ = qr_thin(apply_sketch_right(x, psi, check_finite=False))
     for _ in range(spec.p):
-        z2 = q.T @ x
-        q, r_factor = qr_thin(z2.T)
-        _check_triangular(r_factor, "hmt power step")
-        z1 = x @ q
-        q, r_factor = qr_thin(z1)
-        _check_triangular(r_factor, "hmt power step")
+        q, _ = qr_thin((q.T @ x).T)
+        q, _ = qr_thin(x @ q)
     z2 = q.T @ x
     small = svd_truncated(z2, spec.r)
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
@@ -358,7 +342,6 @@ def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
     q, _ = qr_thin(z)
     w = apply_sketch_left(phi, q, check_finite=False)
     p_factor, t_factor = qr_thin(w)
-    _check_triangular(t_factor, "tropp co-range sketch")
     g = solve_triangular(t_factor, p_factor.T @ apply_sketch_left(phi, x, check_finite=False))
     small = svd_truncated(g, spec.r)
     return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
@@ -371,9 +354,9 @@ def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
     z = apply_sketch_right(x, psi, check_finite=False)
     w = apply_sketch_left(phi, z, check_finite=False)
     q, r_factor = qr_thin(w)
-    _check_triangular(r_factor, "gn core sketch")
-    v = apply_sketch_left(phi, x, check_finite=False).T @ q
+    # Solved first, so that a collapsed sketch wastes no left apply of X.
     u = solve_triangular(r_factor.T, z.T, lower=True).T
+    v = apply_sketch_left(phi, x, check_finite=False).T @ q
     return LowRankFactors(u=u, v=v, sigma=None)
 
 
@@ -400,14 +383,26 @@ ENGINES = {
 }
 
 
-def _advance(x: ClampedIterate, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
-    """Project the clamped iterate ``x`` to rank r; a collapsed sketch is
-    redrawn once from a fresh sub-stream, a second collapse raises."""
-    project = ENGINES[spec.method].project
+def _advance(x, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactors:
+    """Project ``x``, the clamped iterate or the dense target, to rank r.
+
+    A sketch collapses only where it is inverted: ``solve_triangular`` in
+    ``tropp`` and ``gn`` raises ``LinAlgError`` on an exactly singular
+    factor.  A sketched engine that raises it is redrawn once from a fresh
+    sub-stream, and a second failure raises :class:`SketchCollapseError`.
+    ``svd`` and ``tangent`` draw nothing, so their errors propagate unchanged.
+    """
+    engine = ENGINES[spec.method]
     try:
-        return project(x, factors, spec, iteration_seed)
-    except SketchCollapseError:
-        return project(x, factors, spec, sub_seed(iteration_seed, _RETRY))
+        return engine.project(x, factors, spec, iteration_seed)
+    except np.linalg.LinAlgError:
+        if not engine.sketched:
+            raise
+    try:
+        return engine.project(x, factors, spec, sub_seed(iteration_seed, _RETRY))
+    except np.linalg.LinAlgError as err:
+        message = f"{spec.method} sketch collapsed again on its redraw: {err}"
+        raise SketchCollapseError(message) from err
 
 
 def _step(method: str, state: IterateState, spec: MethodSpec, iteration_seed: int):
@@ -452,10 +447,9 @@ def initialize(target, spec: MethodSpec) -> LowRankFactors:
 
     The deterministic methods start from the truncated SVD; each randomized
     method applies its own projection to the target once, using stream 0 of
-    the sketch seed (iterations use streams 1..s).
+    the sketch seed (iterations use streams 1..s), retried as an iteration is.
     """
-    target = as_matrix(target, "target")
-    return ENGINES[spec.method].project(target, None, spec, 0)
+    return _advance(as_matrix(target, "target"), None, spec, 0)
 
 
 def run_method(
@@ -485,7 +479,7 @@ def run_method(
         Final factors and the full trace (one record per iteration).
 
     A sketch collapse inside an iteration is retried once with a fresh
-    sub-stream; a second collapse propagates.
+    sub-stream; a second one raises :class:`SketchCollapseError`.
     """
     if y0.rank > spec.r:
         raise ValueError(f"initial factors have rank {y0.rank} > target rank {spec.r}")

@@ -133,31 +133,67 @@ class TestMainRun:
         assert f"error: method.{key} must be a JSON object" in capsys.readouterr().err
 
     def test_repeated_sketch_collapse_fails_cleanly(self, tmp_path, capsys):
-        # k > n with a sparse sketch: a sketch column is all zero with
-        # probability 0.7**12, and on this seed an iteration's draw and its
-        # redraw both have one, so the range factor is exactly singular twice.
+        # gn inverts the triangular factor of its core sketch.  On this seed
+        # an iteration's sparse draw and its redraw both leave that factor
+        # exactly singular, so the solve fails twice.
         raw = {
             "problem": {"type": "uniform", "rows": 20, "cols": 12, "seed": 1},
             "method": {
-                "name": "hmt",
+                "name": "gn",
                 "r": 5,
-                "k": 15,
+                "l": 8,
                 "iterations": 3,
                 "sketch": {"kind": "sparse", "density": 0.3},
             },
             "trials": 1,
-            "master_seed": 1,
+            "master_seed": 42,
             "output_dir": str(tmp_path / "out"),
         }
         path = tmp_path / "collapse.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: hmt range sketch: sketch produced a singular")
-        # The same k > n config runs with a sign sketch, so the spec is valid.
-        raw["method"]["sketch"] = {"kind": "rademacher"}
+        assert err.startswith("error: ") and "singular" in err
+
+    @pytest.mark.parametrize(
+        "master_seed, sketch",
+        [
+            (1, {"kind": "sparse", "density": 0.3}),
+            (2, {"kind": "sparse", "density": 0.3}),
+            (32, {"kind": "sparse", "density": 0.3}),
+            (1, {"kind": "rademacher"}),
+        ],
+    )
+    def test_rank_deficient_range_sketch_is_harmless(self, tmp_path, capsys, master_seed, sketch):
+        # k > n: the range sketch has rank at most n < k, and on these seeds
+        # an iteration's sparse draw and its redraw both have an all-zero
+        # column.  hmt uses only the orthonormal basis of the sketch, so it runs.
+        raw = {
+            "problem": {"type": "uniform", "rows": 20, "cols": 12, "seed": 1},
+            "method": {"name": "hmt", "r": 5, "k": 15, "iterations": 3, "sketch": sketch},
+            "trials": 1,
+            "master_seed": master_seed,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "deficient.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            ("r", "error: method is missing required key 'r'"),
+            ("kind", "error: method.sketch is missing required key 'kind'"),
+        ],
+    )
+    def test_method_missing_key_fails_cleanly(self, tmp_path, capsys, drop, message):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        owner = raw["method"]["sketch"] if drop == "kind" else raw["method"]
+        del owner[drop]
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -120,6 +120,18 @@ class TestParsing:
         spec = parse_method({"name": "svd", "r": 4, "box": {"lo": 0.0, "hi": None}})
         assert spec.box.hi == float("inf")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"name": "svd"}, "method is missing required key 'r'"),
+            ({"name": "hmt", "r": 2, "k": 4, "sketch": {}},
+             "method.sketch is missing required key 'kind'"),
+        ],
+    )
+    def test_method_missing_key(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            parse_method(raw)
+
     def test_config_missing_key(self):
         with pytest.raises(ValueError, match="missing required key"):
             parse_config({"problem": {"type": "uniform", "rows": 2, "cols": 2}})

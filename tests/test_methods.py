@@ -203,6 +203,42 @@ class TestRandomizedDetails:
         with pytest.raises(SketchCollapseError):
             ap_gn_step(IterateState(zero), spec, iteration_seed=1)
         assert len(draws) == 4
+        # The first projection goes through the same retry.
+        draws.clear()
+        with pytest.raises(SketchCollapseError) as info:
+            initialize(np.zeros((10, 8)), spec)
+        assert len(draws) == 4
+        assert isinstance(info.value, np.linalg.LinAlgError)
+        assert "singular" in str(info.value.__cause__)
+        # tropp's co-range factor: on this stream both sparse draws of phi
+        # leave a zero column against the basis of the zero sketch.
+        draws.clear()
+        tropp = MethodSpec(method="tropp", r=2, k=2, l=4, sketch=SPARSE)
+        with pytest.raises(SketchCollapseError):
+            ap_tropp_step(IterateState(zero), tropp, iteration_seed=8)
+        assert len(draws) == 4
+        # hmt uses only orthonormal bases of its sketches, so nothing collapses.
+        draws.clear()
+        hmt = MethodSpec(method="hmt", r=2, k=4, p=1, sketch=SPARSE)
+        state = ap_hmt_step(IterateState(zero), hmt, iteration_seed=1)
+        assert len(draws) == 1
+        assert np.array_equal(state.factors.sigma, np.zeros(2))
+
+    @pytest.mark.parametrize("method, step", [("svd", ap_svd_step), ("tangent", ap_tangent_step)])
+    def test_unsketched_linalg_error_propagates_unretried(self, monkeypatch, method, step):
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        state = IterateState(svd_truncated(gen_uniform(12, 10, 3), 2))
+        monkeypatch.setattr(lrap.methods, "svd_truncated", fail)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            step(state, MethodSpec(method=method, r=2))
+        assert type(info.value) is np.linalg.LinAlgError
+        assert str(info.value) == "SVD did not converge"
+        assert len(calls) == 1
 
 
 class TestRunMethod:
