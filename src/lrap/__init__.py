@@ -6,9 +6,7 @@ convergence experiments.
 """
 
 from .flopmodel import (
-    FlopReport,
     dominant_coefficient,
-    flop_report,
     flops_init,
     flops_per_iteration,
     flops_qr,

@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import replace
 
-from .flopmodel import flop_report, two_significant
+from .flopmodel import dominant_coefficient, flops_per_iteration
 from .harness import (
     export_spectrum,
     load_config,
@@ -87,23 +87,23 @@ def _method_label(spec: MethodSpec) -> str:
     return f"{spec.method}({','.join(str(getattr(spec, p)) for p in params)})"
 
 
-def print_flop_table(m: int, n: int, specs, file=None) -> None:
+def _coefficient(spec: MethodSpec) -> str:
+    try:
+        return f"{dominant_coefficient(spec):g}"
+    except ValueError:  # svd has no mn-linear term
+        return "n/a"
+
+
+def print_flop_table(m: int, n: int, specs) -> None:
     """Print per-iteration costs and dominant coefficients for each spec."""
-    file = file or sys.stdout
-    # Every report is built before the first line is printed, so a spec that
+    # Every row is built before the first line is printed, so a spec that
     # does not fit the shape leaves no partial table behind.
-    reports = [(spec, flop_report(spec, m, n)) for spec in specs]
+    rows = [(spec, flops_per_iteration(spec, m, n), _coefficient(spec)) for spec in specs]
     header = f"{'method':<16} {'sketch':<14} {'flops/iter':>12} {'coeff/mn':>10}"
-    print(header, file=file)
-    print("-" * len(header), file=file)
-    for spec, report in reports:
-        per_iter = two_significant(report.per_iteration_flops)
-        coeff = report.dominant_mn_coefficient
-        coeff = "n/a" if coeff is None else f"{coeff:g}"
-        print(
-            f"{_method_label(spec):<16} {_sketch_label(spec):<14} {per_iter:>12} {coeff:>10}",
-            file=file,
-        )
+    print(header)
+    print("-" * len(header))
+    for spec, per_iter, coeff in rows:
+        print(f"{_method_label(spec):<16} {_sketch_label(spec):<14} {per_iter:>12.1e} {coeff:>10}")
 
 
 def _parse_size(text: str) -> tuple[int, int]:

@@ -19,8 +19,6 @@ reconstruction.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -28,16 +26,13 @@ from .methods import ENGINES, MethodSpec
 from .sketching import SketchSpec
 
 __all__ = [
-    "FlopReport",
     "dominant_coefficient",
-    "flop_report",
     "flops_init",
     "flops_per_iteration",
     "flops_qr",
     "flops_sketch_apply",
     "flops_sketch_gen",
     "flops_svd",
-    "two_significant",
 ]
 
 SVD_VARIANTS = ("general", "tall", "square")
@@ -183,30 +178,3 @@ def dominant_coefficient(spec: MethodSpec) -> float:
         raise ValueError("the exact SVD method has no mn-linear dominant term")
     return reduce(add, mn)
 
-
-@dataclass(frozen=True)
-class FlopReport:
-    """Cost summary for one method at one problem size.
-
-    ``dominant_mn_coefficient`` is None for the exact-SVD method.
-    """
-
-    init_flops: float
-    per_iteration_flops: float
-    dominant_mn_coefficient: float | None
-
-
-def flop_report(spec: MethodSpec, m: int, n: int) -> FlopReport:
-    mn, _ = _iteration_terms(spec, 1, 1)
-    return FlopReport(
-        init_flops=flops_init(spec, m, n),
-        per_iteration_flops=flops_per_iteration(spec, m, n),
-        dominant_mn_coefficient=reduce(add, mn) if mn else None,
-    )
-
-
-def two_significant(value: float) -> str:
-    """Format a cost in scientific notation with two significant figures."""
-    if not math.isfinite(value):
-        raise ValueError(f"cannot format {value}")
-    return f"{value:.1e}"

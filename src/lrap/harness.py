@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .flopmodel import flops_init, flops_per_iteration
-from .linalg import as_matrix, svd_truncated
+from .linalg import as_matrix
 from .methods import MethodSpec, initialize, run_method
 from .metrics import normalized_spectrum, relative_errors
 from .problems import SmoluchowskiSpec, gen_uniform, load_image_pgm, smoluchowski_solution
@@ -42,8 +41,6 @@ __all__ = [
 ]
 
 TRACE_HEADER = "iter,rel_fro,rel_cheb,neg_fro,neg_cheb,neg_density,over_fro,over_cheb,over_density"
-
-WORKERS_ENV = "LRAP_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -108,13 +105,15 @@ class ExperimentConfig:
     master_seed: int
     output_dir: str
     init: str = "svd"
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
         if self.init not in INIT_POLICIES:
             raise ValueError(f"unknown init policy {self.init!r}, expected one of {INIT_POLICIES}")
+        if self.workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {self.workers}")
 
 
 def _number(value, name: str, kind: type = float):
@@ -138,6 +137,13 @@ def _required(raw: dict, key: str, owner: str):
     return raw[key]
 
 
+def _known(raw: dict, keys, owner: str) -> None:
+    """Raise a ValueError naming the first key of ``raw`` that is not in ``keys``."""
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{owner} has unknown key {key!r}")
+
+
 def parse_problem(raw: dict):
     """Build a problem description from its JSON form."""
     if not isinstance(raw, dict) or "type" not in raw:
@@ -145,14 +151,17 @@ def parse_problem(raw: dict):
     kind = raw["type"]
     owner = f"{kind} problem"
     if kind == "uniform":
+        _known(raw, ("type", "rows", "cols", "seed"), owner)
         return UniformProblem(
             rows=_number(_required(raw, "rows", owner), "rows", int),
             cols=_number(_required(raw, "cols", owner), "cols", int),
             seed=_number(raw.get("seed", 0), "seed", int),
         )
     if kind == "image":
+        _known(raw, ("type", "path"), owner)
         return ImageProblem(path=str(_required(raw, "path", owner)))
     if kind == "smoluchowski":
+        _known(raw, ["type"] + [f.name for f in fields(SmoluchowskiSpec)], owner)
         spec = {
             f.name: _number(raw[f.name], f.name, type(f.default))
             for f in fields(SmoluchowskiSpec)
@@ -166,9 +175,11 @@ def parse_method(raw: dict) -> MethodSpec:
     """Build a :class:`MethodSpec` from its JSON form."""
     if not isinstance(raw, dict) or "name" not in raw:
         raise ValueError("method must be an object with a 'name' key")
+    _known(raw, ("name", "r", "k", "l", "p", "iterations", "sketch", "box"), "method")
     sketch = None
     if raw.get("sketch") is not None:
         s = _object(raw["sketch"], "method.sketch")
+        _known(s, ("kind", "density", "seed"), "method.sketch")
         sketch = SketchSpec(
             kind=_required(s, "kind", "method.sketch"),
             density=_number(s.get("density", 1.0), "density"),
@@ -177,6 +188,7 @@ def parse_method(raw: dict) -> MethodSpec:
     box = BoxBounds()
     if raw.get("box") is not None:
         b = _object(raw["box"], "method.box")
+        _known(b, ("lo", "hi"), "method.box")
         lo = -math.inf if b.get("lo") is None else _number(b["lo"], "lo")
         hi = math.inf if b.get("hi") is None else _number(b["hi"], "hi")
         box = BoxBounds(lo=lo, hi=hi)
@@ -194,6 +206,8 @@ def parse_method(raw: dict) -> MethodSpec:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     _object(raw, "config")
+    keys = ("problem", "method", "trials", "master_seed", "output_dir", "init", "workers")
+    _known(raw, keys, "config")
     return ExperimentConfig(
         problem=parse_problem(_required(raw, "problem", "config")),
         method=parse_method(_required(raw, "method", "config")),
@@ -201,7 +215,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
         output_dir=str(_required(raw, "output_dir", "config")),
         init=str(raw.get("init", "svd")),
-        workers=None if raw.get("workers") is None else _number(raw["workers"], "workers", int),
+        workers=_number(raw.get("workers", 1), "workers", int),
     )
 
 
@@ -230,15 +244,17 @@ def _write_trace(path: Path, rows: np.ndarray):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _start(config: ExperimentConfig, spec: MethodSpec) -> MethodSpec:
+    """The method that builds a trial's start: the exact SVD, or ``spec`` itself."""
+    return MethodSpec(method="svd", r=spec.r) if config.init == "svd" else spec
+
+
 def _run_trial(config: ExperimentConfig, trial: int):
     target = build_target(config.problem, trial)
     spec = config.method
     if spec.sketch is not None:
         spec = replace(spec, sketch=replace(spec.sketch, seed=sub_seed(config.master_seed, trial)))
-    if config.init == "svd":
-        y0 = svd_truncated(target, spec.r)
-    else:
-        y0 = initialize(target, spec)
+    y0 = initialize(target, _start(config, spec))
     init_fro, init_cheb = relative_errors(target, y0.reconstruct())
     _, trace = run_method(y0, spec, target=target)
     # Every field but the iteration number, in TRACE_HEADER's order.
@@ -255,13 +271,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = config.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
         results = list(pool.map(partial(_run_trial, config), range(config.trials)))
 
     all_rows = np.stack([rows for _, _, rows, _ in results])
@@ -279,10 +289,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     spec = config.method
     shape = results[0][3]
-    if config.init == "svd":
-        init_flops = flops_init(MethodSpec(method="svd", r=spec.r), *shape)
-    else:
-        init_flops = flops_init(spec, *shape)
     summary = {
         "method": spec.method,
         "params": {
@@ -301,7 +307,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 "hi": None if math.isinf(spec.box.hi) else spec.box.hi,
             },
         },
-        "init_flops": init_flops,
+        "init_flops": flops_init(_start(config, spec), *shape),
         "per_iter_flops": flops_per_iteration(spec, *shape),
         "rel_frobenius_init_mean": float(np.mean(init_fro)),
         "rel_chebyshev_init_mean": float(np.mean(init_cheb)),

@@ -44,6 +44,8 @@ class TestFlopTable:
         out = capsys.readouterr().out
         assert "3.6e+08" in out and "9.2e+07" in out and "4.0e+07" in out
         assert "384" in out  # tangent dominant coefficient
+        # svd has no mn-linear term, so its coeff/mn column reads n/a.
+        assert out.splitlines()[2].split() == ["svd", "n/a", "3.6e+08", "n/a"]
 
     def test_empty_spec_list_prints_header_only(self, capsys):
         print_flop_table(64, 64, [])
@@ -195,6 +197,35 @@ class TestMainRun:
         assert main(["run", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "owner, key, message",
+        [
+            ((), "trails", "config has unknown key 'trails'"),
+            (("problem",), "sed", "uniform problem has unknown key 'sed'"),
+            (("method",), "iteration", "method has unknown key 'iteration'"),
+            (("method", "sketch"), "densty", "method.sketch has unknown key 'densty'"),
+            (("method", "box"), "low", "method.box has unknown key 'low'"),
+        ],
+    )
+    def test_unknown_key_fails_cleanly(self, tmp_path, capsys, owner, key, message):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["method"]["box"] = {"lo": 0.0}
+        target = raw
+        for name in owner:
+            target = target[name]
+        target[key] = 1
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_workers_fails_before_writing(self, tmp_path, capsys):
+        config = self.config_file(tmp_path, tmp_path / "out")
+        assert main(["run", str(config), "--workers", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: worker count must be >= 1")
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -246,6 +277,13 @@ class TestMainSpectrum:
         code = main(["spectrum", problem, "--count", "3", "--output", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
+        problem = '{"type": "smoluchowski", "node": 8}'
+        code = main(["spectrum", problem, "--count", "3", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "error: smoluchowski problem has unknown key 'node'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_object_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "number.json"

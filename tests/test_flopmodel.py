@@ -4,7 +4,6 @@ from lrap import (
     MethodSpec,
     SketchSpec,
     dominant_coefficient,
-    flop_report,
     flops_init,
     flops_per_iteration,
     flops_qr,
@@ -143,14 +142,6 @@ class TestInitCosts:
         gn = MethodSpec(method="gn", r=10, l=40, sketch=SPARSE)
         assert flops_init(gn, m, n) == flops_per_iteration(gn, m, n) - 2 * m * n * 10
 
-    def test_report_bundle(self):
-        spec = MethodSpec(method="tropp", r=10, k=15, l=25, sketch=SPARSE)
-        report = flop_report(spec, 1024, 1024)
-        assert report.per_iteration_flops > report.init_flops > 0
-        assert report.dominant_mn_coefficient == pytest.approx(28.0)
-        svd_report = flop_report(MethodSpec(method="svd", r=10), 1024, 1024)
-        assert svd_report.dominant_mn_coefficient is None
-
 
 # float.hex of flops_per_iteration, flops_init and dominant_coefficient (None
 # for svd), recorded before the model was rebuilt from per-entry sketch costs:
@@ -279,13 +270,11 @@ def test_pinned_bit_for_bit(shape, method, r, sizes, sketch, per_iter, init, dom
     spec = MethodSpec(method=method, r=r, sketch=sketch, **sizes)
     assert flops_per_iteration(spec, *shape).hex() == per_iter
     assert flops_init(spec, *shape).hex() == init
-    report = flop_report(spec, *shape)
-    assert (report.per_iteration_flops.hex(), report.init_flops.hex()) == (per_iter, init)
     if dominant is None:
-        assert report.dominant_mn_coefficient is None
+        with pytest.raises(ValueError, match="no mn-linear"):
+            dominant_coefficient(spec)
     else:
         assert dominant_coefficient(spec).hex() == dominant
-        assert report.dominant_mn_coefficient.hex() == dominant
 
 
 def test_wide_problem_costed_transposed():

@@ -132,6 +132,52 @@ class TestParsing:
         with pytest.raises(ValueError, match=message):
             parse_method(raw)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"type": "uniform", "rows": 4, "cols": 5, "sed": 3},
+             "uniform problem has unknown key 'sed'"),
+            ({"type": "image", "path": "x.pgm", "scale": 2},
+             "image problem has unknown key 'scale'"),
+            ({"type": "smoluchowski", "node": 8}, "smoluchowski problem has unknown key 'node'"),
+        ],
+    )
+    def test_problem_unknown_key(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_problem(raw)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"iteration": 100}, "method has unknown key 'iteration'"),
+            ({"sketch": {"kind": "sparse", "densty": 0.1}},
+             "method.sketch has unknown key 'densty'"),
+            ({"box": {"lo": 0.0, "high": 1.0}}, "method.box has unknown key 'high'"),
+        ],
+    )
+    def test_method_unknown_key(self, extra, message):
+        raw = {"name": "hmt", "r": 2, "k": 4, "sketch": {"kind": "gaussian"}}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_method({**raw, **extra})
+
+    def test_config_unknown_key(self):
+        raw = {
+            "problem": {"type": "uniform", "rows": 2, "cols": 2},
+            "method": {"name": "svd", "r": 1},
+            "output_dir": "out",
+            "worker": 2,
+        }
+        with pytest.raises(ValueError, match="^config has unknown key 'worker'$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_bundled_config_parses(self, path):
+        assert load_config(path).method.s > 0
+
     def test_config_missing_key(self):
         with pytest.raises(ValueError, match="missing required key"):
             parse_config({"problem": {"type": "uniform", "rows": 2, "cols": 2}})
@@ -192,17 +238,10 @@ class TestRunExperiment:
         for name in ("trial_0.csv", "mean.csv", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
-    def test_worker_env_var_honored(self, tmp_path, monkeypatch):
-        serial = small_config(tmp_path / "serial")
-        run_experiment(serial)
-        monkeypatch.setenv("LRAP_WORKERS", "2")
-        from_env = ExperimentConfig(**{**serial.__dict__, "output_dir": str(tmp_path / "env")})
-        run_experiment(from_env)
-        for name in ("trial_0.csv", "mean.csv", "summary.json"):
-            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "env" / name).read_bytes()
-        monkeypatch.setenv("LRAP_WORKERS", "0")
+    def test_worker_count_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="worker count"):
-            run_experiment(ExperimentConfig(**{**serial.__dict__, "output_dir": str(tmp_path / "bad")}))
+            ExperimentConfig(**{**small_config(tmp_path / "z").__dict__, "workers": 0})
+        assert not (tmp_path / "z").exists()
 
     def test_mean_trace_is_exact_arithmetic_mean(self, tmp_path):
         config = small_config(tmp_path / "out")

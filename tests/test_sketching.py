@@ -32,6 +32,20 @@ class TestBoxMullerPair:
         with pytest.raises(ValueError, match="u2"):
             sample_gaussian_pair(0.5, 1.0)
 
+    @pytest.mark.parametrize("seed, rows, cols", [(2024, 300, 301), (3, 5, 7)])
+    def test_reference_for_the_gaussian_draw(self, seed, rows, cols):
+        # gen_test_matrix applies the same transform to the same uniforms,
+        # vectorized; an odd entry count drops the last sine.  NumPy's log and
+        # cos may differ from math's by an ulp, so the match is not bitwise.
+        rng = np.random.default_rng(np.random.SeedSequence(seed % 2**64))
+        pairs = (rows * cols + 1) // 2
+        u1 = 1.0 - rng.random(pairs)
+        u2 = rng.random(pairs)
+        expected = np.array([sample_gaussian_pair(a, b) for a, b in zip(u1, u2)]).ravel()
+        drawn = gen_test_matrix(SketchSpec("gaussian", seed=seed), rows, cols)
+        assert drawn.shape == (rows, cols)
+        np.testing.assert_allclose(drawn.ravel(), expected[: rows * cols], rtol=1e-15, atol=1e-15)
+
     def test_moments_over_one_million_samples(self):
         # 1e6 samples: CLT gives sigma(mean) = 1e-3, so 4e-3 is > 3 sigma.
         samples = gen_test_matrix(SketchSpec(kind="gaussian", seed=1234), 1000, 1000)
