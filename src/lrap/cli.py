@@ -26,6 +26,7 @@ from .flopmodel import dominant_coefficient, flops_per_iteration
 from .harness import (
     export_spectrum,
     load_config,
+    parse_config,
     parse_problem,
     run_experiment,
 )
@@ -121,7 +122,9 @@ def _load_problem_arg(text: str):
         with open(text, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     if isinstance(raw, dict) and "problem" in raw and "type" not in raw:
-        raw = raw["problem"]
+        # A config file: checked as `lrap run` checks it, unless it holds
+        # nothing but its problem.
+        return parse_config(raw).problem if len(raw) > 1 else parse_problem(raw["problem"])
     return parse_problem(raw)
 
 

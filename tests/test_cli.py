@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from lrap.cli import main, parse_method_string, print_flop_table
 from lrap.harness import TRACE_HEADER
@@ -232,6 +233,19 @@ class TestMainRun:
         assert main(["run", str(path)]) == 1
         assert "error: config must be a JSON object" in capsys.readouterr().err
 
+    def test_arpack_failure_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # 5 r < min(m, n): svd projects by ARPACK, whose failure is a RuntimeError.
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", fail)
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["method"] = {"name": "svd", "r": 3, "iterations": 2}
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ARPACK error -1: no convergence")
+
 
 class TestMainSpectrum:
     def test_inline_problem(self, tmp_path):
@@ -284,6 +298,33 @@ class TestMainSpectrum:
         assert code == 1
         assert "error: smoluchowski problem has unknown key 'node'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "owner, key, message",
+        [
+            ((), "trails", "config has unknown key 'trails'"),
+            (("method",), "iteration", "method has unknown key 'iteration'"),
+        ],
+    )
+    def test_config_file_checked_as_run_checks_it(self, tmp_path, capsys, owner, key, message):
+        raw = {
+            "problem": {"type": "uniform", "rows": 16, "cols": 16, "seed": 1},
+            "method": {"name": "svd", "r": 2},
+            "output_dir": str(tmp_path / "out"),
+        }
+        target = raw
+        for name in owner:
+            target = target[name]
+        target[key] = 5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = main(["spectrum", str(path), "--count", "3", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        del target[key]
+        path.write_text(json.dumps(raw))
+        assert main(["spectrum", str(path), "--count", "3", "--output", str(tmp_path / "x.csv")]) == 0
 
     def test_non_object_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "number.json"

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import lrap.methods
 from lrap import (
     BoxBounds,
+    ExperimentConfig,
     IterateState,
     LowRankFactors,
     MethodSpec,
     SketchCollapseError,
     SketchSpec,
+    UniformProblem,
     ap_gn_step,
     ap_hmt_step,
     ap_svd_step,
@@ -16,10 +19,12 @@ from lrap import (
     ap_tropp_step,
     initialize,
     project_box,
+    run_experiment,
     run_method,
     svd_truncated,
     tangent_space_apply,
 )
+from lrap.methods import clamp_iterate
 from lrap.problems import gen_uniform
 from conftest import nonnegative_rank_r
 
@@ -224,21 +229,136 @@ class TestRandomizedDetails:
         assert len(draws) == 1
         assert np.array_equal(state.factors.sigma, np.zeros(2))
 
-    @pytest.mark.parametrize("method, step", [("svd", ap_svd_step), ("tangent", ap_tangent_step)])
-    def test_unsketched_linalg_error_propagates_unretried(self, monkeypatch, method, step):
+    @pytest.mark.parametrize(
+        "method, step, shape, owner, name, error",
+        [
+            pytest.param(
+                "svd", ap_svd_step, (12, 10), lrap.methods, "svd_truncated",
+                np.linalg.LinAlgError("SVD did not converge"), id="svd-ap_svd_step",
+            ),
+            pytest.param(
+                "tangent", ap_tangent_step, (12, 10), lrap.methods, "svd_truncated",
+                np.linalg.LinAlgError("SVD did not converge"), id="tangent-ap_tangent_step",
+            ),
+            # 5 r < min(m, n): the exact projection runs ARPACK, whose
+            # failures are RuntimeErrors, re-raised as LinAlgError.
+            pytest.param(
+                "svd", ap_svd_step, (30, 20), scipy.sparse.linalg, "svds",
+                scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None),
+                id="svd-krylov-no-convergence",
+            ),
+            pytest.param(
+                "svd", ap_svd_step, (30, 20), scipy.sparse.linalg, "svds",
+                scipy.sparse.linalg.ArpackError(-9), id="svd-krylov-arpack-error",
+            ),
+        ],
+    )
+    def test_unsketched_linalg_error_propagates_unretried(
+        self, monkeypatch, method, step, shape, owner, name, error
+    ):
         calls = []
 
-        def fail(*args):
+        def fail(*args, **kwargs):
             calls.append(args)
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise error
 
-        state = IterateState(svd_truncated(gen_uniform(12, 10, 3), 2))
-        monkeypatch.setattr(lrap.methods, "svd_truncated", fail)
+        state = IterateState(svd_truncated(gen_uniform(*shape, 3), 2))
+        monkeypatch.setattr(owner, name, fail)
         with pytest.raises(np.linalg.LinAlgError) as info:
             step(state, MethodSpec(method=method, r=2))
         assert type(info.value) is np.linalg.LinAlgError
-        assert str(info.value) == "SVD did not converge"
+        assert str(info.value) == str(error)
         assert len(calls) == 1
+
+
+BOXES = (BoxBounds(0.0, np.inf), BoxBounds(0.0, 1.0))
+KRYLOV_SHAPES = {"tall": (90, 40), "wide": (40, 90), "square": (60, 60)}
+
+
+def exact_projection(x, r):
+    return lrap.methods.ENGINES["svd"].project(x, None, MethodSpec(method="svd", r=r), 0)
+
+
+def clamped(shape, r, box, seed):
+    """A clamped iterate with entries outside ``box`` on every side it bounds."""
+    rng = np.random.default_rng(seed)
+    x = clamp_iterate(svd_truncated(rng.uniform(-0.3, 1.3, shape), r), box)
+    assert x._correction.nnz > 0
+    return x
+
+
+def assert_same_truncation(got, want):
+    r = want.rank
+    assert np.abs(got.sigma - want.sigma).max() <= 1e-13 * want.sigma[0]
+    dense = want.reconstruct()
+    assert np.linalg.norm(got.reconstruct() - dense) <= 1e-12 * np.linalg.norm(dense)
+    for factor in (got.u, got.v):
+        assert np.linalg.norm(factor.T @ factor - np.eye(r)) <= 1e-13
+    assert (np.diff(got.sigma) <= 0).all()
+
+
+class TestExactProjectionPaths:
+    """``svd``'s projection runs Lanczos (ARPACK) on the products of X where
+    5 r < min(m, n), and a full LAPACK SVD of the dense X elsewhere."""
+
+    @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
+    @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
+    def test_operator_dense_and_lapack_agree(self, shape, box):
+        x = clamped(shape, 10, box, seed=sum(shape))
+        want = svd_truncated(x.toarray(), 5)
+        assert_same_truncation(exact_projection(x, 5), want)
+        assert_same_truncation(exact_projection(x.toarray(), 5), want)
+
+    @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
+    @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
+    def test_exact_rank_input_is_reproduced(self, shape, box):
+        y = nonnegative_rank_r(*shape, 6, seed=sum(shape))
+        y /= y.max()
+        x = clamp_iterate(svd_truncated(y, 6), box)
+        for source in (x, y):
+            got = exact_projection(source, 6)
+            assert rel_err(y, got.reconstruct()) < 1e-12
+            assert_same_truncation(got, svd_truncated(y, 6))
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        x = clamped((80, 70), 12, BOXES[1], seed=3)
+        one, two = exact_projection(x, 6), exact_projection(x, 6)
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+
+    def test_dense_at_the_boundary_of_the_rule(self, monkeypatch):
+        calls = []
+        original = scipy.sparse.linalg.svds
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "svds", lambda *a, **k: calls.append(a) or original(*a, **k)
+        )
+        x = clamped((50, 40), 16, BOXES[0], seed=4)
+        # 5 r == min(m, n): the dense path, bit for bit.
+        got, want = exact_projection(x, 8), svd_truncated(x.toarray(), 8)
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert calls == []
+        # One rank less: the Krylov path.
+        assert_same_truncation(exact_projection(x, 7), svd_truncated(x.toarray(), 7))
+        assert len(calls) == 1
+
+    def test_traces_do_not_depend_on_the_worker_count(self, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            run_experiment(
+                ExperimentConfig(
+                    problem=UniformProblem(rows=60, cols=50, seed=2),
+                    method=MethodSpec(method="svd", r=4, s=4),
+                    trials=3,
+                    master_seed=7,
+                    output_dir=str(out),
+                    workers=workers,
+                )
+            )
+            outputs.append(out)
+        for name in ("trial_0.csv", "trial_1.csv", "trial_2.csv", "mean.csv", "summary.json"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
 class TestRunMethod:
@@ -309,9 +429,14 @@ class TestEquivalenceOnExactProjection:
 class TestInitialize:
     def test_deterministic_methods_use_truncated_svd(self):
         a = gen_uniform(30, 30, 14)
-        f = initialize(a, MethodSpec(method="tangent", r=5))
-        g = svd_truncated(a, 5)
-        assert np.array_equal(f.reconstruct(), g.reconstruct())
+        for method in ("svd", "tangent"):
+            # 5 r >= min(m, n): the dense path, bit for bit the LAPACK truncation.
+            f = initialize(a, MethodSpec(method=method, r=6))
+            assert np.array_equal(f.reconstruct(), svd_truncated(a, 6).reconstruct())
+            # 5 r < min(m, n): the Krylov path, the same truncation to rounding.
+            f = initialize(a, MethodSpec(method=method, r=5))
+            want = svd_truncated(a, 5).reconstruct()
+            assert np.linalg.norm(f.reconstruct() - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_randomized_initialization_reproducible(self):
         a = gen_uniform(30, 30, 15)
