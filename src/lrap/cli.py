@@ -60,13 +60,11 @@ def parse_method_string(text: str, rank: int) -> MethodSpec:
             raise ValueError(f"cannot parse sketch spec {sketch_part!r}")
         base, density_text = smatch.group(1), smatch.group(2)
         if base in ("gauss", "gaussian"):
-            if density_text is not None:
-                raise ValueError("gaussian sketch takes no density")
-            sketch = SketchSpec(kind="gaussian")
-        elif density_text is None:
-            sketch = SketchSpec(kind="rademacher")
+            kind = "gaussian"
         else:
-            sketch = SketchSpec(kind="sparse", density=float(density_text))
+            kind = "rademacher" if density_text is None else "sparse"
+        density = 1.0 if density_text is None else float(density_text)
+        sketch = SketchSpec(kind=kind, density=density)
     elif ENGINES[name].sketched:
         sketch = SketchSpec(kind="gaussian")
 

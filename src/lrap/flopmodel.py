@@ -142,8 +142,6 @@ def _dims(spec: MethodSpec, m: int, n: int) -> tuple[int, int]:
 def flops_per_iteration(spec: MethodSpec, m: int, n: int) -> float:
     """Flops for one full iteration of the selected method on an m x n target."""
     m, n = _dims(spec, m, n)
-    if spec.sketch is not None and not ENGINES[spec.method].sketched:
-        raise ValueError(f"{spec.method} takes no sketch")
     mn, rest = _iteration_terms(spec, m, n)
     return reduce(add, mn + rest)
 

@@ -28,10 +28,12 @@ through the products ``X @ B`` and ``A @ X``.
 
 ``svd``'s exact projection, which also starts ``svd`` and ``tangent``, takes
 one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
-SciPy's ARPACK ``svds`` (restarted Lanczos on the Gram matrix of X) through
-those products, from a start vector drawn by a fresh fixed-seed generator
-each call, so reruns and worker threads agree to the byte; an ARPACK failure
-is raised as ``LinAlgError``.  Elsewhere it forms X and truncates a full
+ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix X^T X through
+those products, then takes the Rayleigh-Ritz step ``hmt`` ends with: a QR
+of the Lanczos basis V and a small SVD of X V.  A fresh fixed-seed generator
+each call draws the start vector and every restart vector, so reruns and
+worker threads agree to the byte; an ARPACK failure is raised as
+``LinAlgError``.  Elsewhere it forms X and truncates a full
 LAPACK SVD (:func:`svd_truncated`), which is cheaper when r is a large share
 of the shape: on uniform 256 x 256 iterates the two broke even near
 r = 0.2 n (at 512 x 512 Lanczos still led at r = 0.25 n).
@@ -110,7 +112,7 @@ class MethodSpec:
     s : int
         Number of iterations the driver performs (``s >= 0``).
     sketch : SketchSpec, optional
-        Required for the randomized methods.
+        Required for the randomized methods, refused for the others.
     box : BoxBounds
         Admissible value range; defaults to nonnegativity.
     """
@@ -143,6 +145,8 @@ class MethodSpec:
                 raise ValueError(f"{self.method} requires range sketch size l >= {name}")
         if engine.sketched and self.sketch is None:
             raise ValueError(f"{self.method} requires a sketch spec")
+        if not engine.sketched and self.sketch is not None:
+            raise ValueError(f"{self.method} takes no sketch")
 
 
 @dataclass(frozen=True)
@@ -175,11 +179,10 @@ class ClampedIterate:
 
     __array_ufunc__ = None
 
-    def __init__(self, left, right, flat, clamped, correction, errors, violations):
+    def __init__(self, left, right, box, correction, errors, violations):
         self._left = left  # u diag(sigma), m x r
         self._right = right  # v.T, r x n
-        self._flat = flat  # row-major indices of the entries outside the box
-        self._clamped = clamped  # X at those entries
+        self._box = box
         self._correction = correction
         self.shape = (left.shape[0], right.shape[1])
         self.errors = errors
@@ -192,12 +195,11 @@ class ClampedIterate:
         return (a @ self._left) @ self._right + a @ self._correction
 
     def toarray(self) -> np.ndarray:
-        """X as one dense array, its blocks of Y formed as the clamp pass formed them."""
+        """X as one dense array: Y formed in the clamp pass's row blocks, then clamped."""
         out = np.empty(self.shape)
         for rows in _row_blocks(*self.shape):
             np.matmul(self._left[rows], self._right, out=out[rows])
-        out.ravel()[self._flat] = self._clamped
-        return out
+        return project_box(out, self._box)
 
 
 def _side(magnitude: np.ndarray, size: int) -> tuple[float, float, float]:
@@ -276,7 +278,7 @@ def clamp_iterate(
         *_side(box.lo - values[values < box.lo - NOISE_THRESHOLD], m * n),
         *_side(values[values > box.hi + NOISE_THRESHOLD] - box.hi, m * n),
     )
-    return ClampedIterate(left, right, flat, clamped, correction, errors, violations)
+    return ClampedIterate(left, right, box, correction, errors, violations)
 
 
 def _iteration_sketch(spec: MethodSpec, iteration_seed: int, role: int) -> SketchSpec:
@@ -306,25 +308,24 @@ def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
         if isinstance(x, ClampedIterate):
             x = x.toarray()
         return svd_truncated(x, r)
-    # Lanczos on the products of X; this branch alone loads ARPACK.
-    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
+    # Lanczos on the Gram matrix X^T X through the products of X; this
+    # branch alone loads ARPACK.
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    def matmul(b):
-        return x @ b
+    def gram(b):
+        return ((x @ b).T @ x).T
 
-    def rmatmul(a):
-        return (a.T @ x).T
-
-    operator = LinearOperator(
-        x.shape, matvec=matmul, rmatvec=rmatmul, matmat=matmul, rmatmat=rmatmul, dtype=np.float64
-    )
+    n = x.shape[1]
+    operator = LinearOperator((n, n), matvec=gram, matmat=gram, dtype=np.float64)
     try:
-        # A fresh generator per call draws the same start vector every time.
-        u, sigma, vt = svds(operator, k=r, solver="arpack", tol=0, rng=np.random.default_rng(0))
+        # A fresh generator per call draws the same start and restart vectors every time.
+        _, basis = eigsh(operator, k=r, tol=0, rng=np.random.default_rng(0))
     except ArpackError as err:  # ArpackNoConvergence included
         raise np.linalg.LinAlgError(str(err)) from err
-    order = np.argsort(-sigma, kind="stable")
-    return LowRankFactors(u=u[:, order], v=vt[order].T, sigma=sigma[order])
+    # Rayleigh-Ritz, as hmt ends: X ~ (X Q) Q^T for an orthonormal basis Q of the Ritz vectors.
+    q, _ = qr_thin(basis)
+    small = svd_truncated(x @ q, r)
+    return LowRankFactors(u=small.u, v=q @ small.v, sigma=small.sigma)
 
 
 def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):

@@ -36,8 +36,8 @@ _U64 = 2**64
 class SketchSpec:
     """Test-matrix distribution plus the seed of its generator stream.
 
-    ``density`` is only meaningful for the sparse kind, where each entry is
-    independently nonzero with that probability.
+    ``density`` is set only for the sparse kind, where each entry is
+    independently nonzero with that probability; the dense kinds refuse it.
     """
 
     kind: str
@@ -49,6 +49,8 @@ class SketchSpec:
             raise ValueError(f"unknown sketch kind {self.kind!r}, expected one of {KINDS}")
         if self.kind == "sparse" and not 0.0 < self.density <= 1.0:
             raise ValueError(f"sparse density must be in (0, 1], got {self.density}")
+        if self.kind != "sparse" and self.density != 1.0:
+            raise ValueError(f"{self.kind} sketch takes no density")
 
 
 @dataclass(frozen=True)

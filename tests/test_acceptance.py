@@ -207,7 +207,8 @@ def test_criterion_4_exact_rank_oracle_equivalence():
         r = int(rng.integers(2, 13))
         y = nonnegative_rank_r(m, n, r, seed=9000 + case)
         state = IterateState(svd_truncated(y, r))
-        sketch = SketchSpec(kind=kinds[case % 3], density=0.2, seed=100 + case)
+        kind = kinds[case % 3]
+        sketch = SketchSpec(kind=kind, density=0.2 if kind == "sparse" else 1.0, seed=100 + case)
 
         steps = {
             "svd": ap_svd_step(state, MethodSpec(method="svd", r=r)),

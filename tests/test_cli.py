@@ -29,7 +29,9 @@ class TestParseMethodString:
         assert parse_method_string("hmt(0,12)", rank=8).sketch.kind == "gaussian"
 
     def test_parse_errors(self):
-        for bad in ("qr", "hmt(1)", "tropp(5)", "gn(2,3)", "svd(1)", "hmt(0,9):triangular"):
+        bad_specs = ("qr", "hmt(1)", "tropp(5)", "gn(2,3)", "svd(1)", "hmt(0,9):triangular",
+                     "hmt(0,9):gauss(0.5)")
+        for bad in bad_specs:
             with pytest.raises(ValueError):
                 parse_method_string(bad, rank=4)
 
@@ -233,12 +235,32 @@ class TestMainRun:
         assert main(["run", str(path)]) == 1
         assert "error: config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ({"name": "svd", "r": 3, "sketch": {"kind": "gaussian"}}, "svd takes no sketch"),
+            (
+                {"name": "hmt", "r": 3, "k": 5, "sketch": {"kind": "gaussian", "density": 0.5}},
+                "gaussian sketch takes no density",
+            ),
+        ],
+        ids=["svd-sketch", "gaussian-density"],
+    )
+    def test_unusable_sketch_fails_before_writing(self, tmp_path, capsys, method, message):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["method"] = {**method, "iterations": 2}
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_arpack_failure_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         # 5 r < min(m, n): svd projects by ARPACK, whose failure is a RuntimeError.
         def fail(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", fail)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
         path = self.config_file(tmp_path, tmp_path / "out")
         raw = json.loads(path.read_text())
         raw["method"] = {"name": "svd", "r": 3, "iterations": 2}

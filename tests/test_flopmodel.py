@@ -71,9 +71,8 @@ class TestPerIteration:
         assert value == 21.0 * 256**3 + 2 * 256 * 256 * 64 + 256 * 64
 
     def test_sketch_on_deterministic_method_rejected(self):
-        spec = MethodSpec(method="svd", r=4, sketch=GAUSS)
         with pytest.raises(ValueError, match="no sketch"):
-            flops_per_iteration(spec, 32, 32)
+            MethodSpec(method="svd", r=4, sketch=GAUSS)
 
     def test_rank_larger_than_matrix_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

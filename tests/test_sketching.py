@@ -102,6 +102,9 @@ class TestGenTestMatrix:
             SketchSpec(kind="sparse", density=0.0)
         with pytest.raises(ValueError, match="kind"):
             SketchSpec(kind="uniform")
+        for kind in ("gaussian", "rademacher"):
+            with pytest.raises(ValueError, match=f"{kind} sketch takes no density"):
+                SketchSpec(kind=kind, density=0.5)
         with pytest.raises(ValueError, match="positive"):
             gen_test_matrix(SketchSpec(kind="gaussian"), 0, 4)
 
