@@ -179,11 +179,11 @@ def parse_method(raw: dict) -> MethodSpec:
     sketch = None
     if raw.get("sketch") is not None:
         s = _object(raw["sketch"], "method.sketch")
-        _known(s, ("kind", "density", "seed"), "method.sketch")
+        # Each trial's sketch seed derives from master_seed, so a config sets none.
+        _known(s, ("kind", "density"), "method.sketch")
         sketch = SketchSpec(
             kind=_required(s, "kind", "method.sketch"),
             density=_number(s.get("density", 1.0), "density"),
-            seed=_number(s.get("seed", 0), "seed", int),
         )
     box = BoxBounds()
     if raw.get("box") is not None:
@@ -269,10 +269,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     rowwise mean across trials, and ``summary.json``.  Byte-identical for
     identical configurations.
     """
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         results = list(pool.map(partial(_run_trial, config), range(config.trials)))
+    # Made only now, so that a run whose trials fail leaves nothing behind.
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     all_rows = np.stack([rows for _, _, rows, _ in results])
     for t, (_, _, rows, _) in enumerate(results):
@@ -331,9 +332,10 @@ def export_spectrum(problem, count: int, path) -> None:
     exactly ``count`` rows.
     """
     target = as_matrix(build_target(problem), "target")
+    # Checked before the full SVD, which the spectrum's size does not need.
+    if not 1 <= count <= min(target.shape):
+        raise ValueError(f"count must be in [1, {min(target.shape)}], got {count}")
     spectrum = normalized_spectrum(target)
-    if not 1 <= count <= spectrum.size:
-        raise ValueError(f"count must be in [1, {spectrum.size}], got {count}")
     lines = ["index,sigma_normalized"]
     for i in range(count):
         lines.append(f"{i + 1},{_fmt(spectrum[i])}")

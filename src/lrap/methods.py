@@ -28,9 +28,10 @@ through the products ``X @ B`` and ``A @ X``.
 
 ``svd``'s exact projection, which also starts ``svd`` and ``tangent``, takes
 one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
-ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix X^T X through
-those products, then takes the Rayleigh-Ritz step ``hmt`` ends with: a QR
-of the Lanczos basis V and a small SVD of X V.  A fresh fixed-seed generator
+ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix of the shorter
+side, X X^T for a wide X and X^T X otherwise, through those products, then
+takes the Rayleigh-Ritz step ``hmt`` ends with: a QR of the Lanczos basis Q
+and a small SVD of Q^T X or X Q.  A fresh fixed-seed generator
 each call draws the start vector and every restart vector, so reruns and
 worker threads agree to the byte; an ARPACK failure is raised as
 ``LinAlgError``.  Elsewhere it forms X and truncates a full
@@ -104,9 +105,9 @@ class MethodSpec:
     r : int
         Target rank.
     k : int, optional
-        Co-range sketch size (``hmt`` and ``tropp``; ``k >= r``).
+        Co-range sketch size (``hmt`` and ``tropp`` only; ``k >= r``).
     l : int, optional
-        Range sketch size (``tropp`` with ``l >= k``; ``gn`` with ``l >= r``).
+        Range sketch size (only ``tropp``, ``l >= k``, and ``gn``, ``l >= r``).
     p : int
         Power-iteration count (``hmt`` only, ``p >= 0``).
     s : int
@@ -134,6 +135,9 @@ class MethodSpec:
             raise ValueError(f"target rank must be >= 1, got {self.r}")
         if self.s < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.s}")
+        for name, unset in (("k", None), ("l", None), ("p", 0)):
+            if name not in engine.params and getattr(self, name) != unset:
+                raise ValueError(f"{self.method} takes no {name}")
         if self.p < 0:
             raise ValueError(f"power iteration count must be >= 0, got {self.p}")
         if "k" in engine.params and (self.k is None or self.k < self.r):
@@ -308,22 +312,27 @@ def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
         if isinstance(x, ClampedIterate):
             x = x.toarray()
         return svd_truncated(x, r)
-    # Lanczos on the Gram matrix X^T X through the products of X; this
-    # branch alone loads ARPACK.
+    # Lanczos on the Gram matrix of the shorter side, X X^T for a wide X and
+    # X^T X otherwise, through the products of X; this branch alone loads ARPACK.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    def gram(b):
-        return ((x @ b).T @ x).T
+    m, n = x.shape
 
-    n = x.shape[1]
-    operator = LinearOperator((n, n), matvec=gram, matmat=gram, dtype=np.float64)
+    def gram(b):
+        return x @ (b.T @ x).T if m < n else ((x @ b).T @ x).T
+
+    operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
     try:
         # A fresh generator per call draws the same start and restart vectors every time.
         _, basis = eigsh(operator, k=r, tol=0, rng=np.random.default_rng(0))
     except ArpackError as err:  # ArpackNoConvergence included
         raise np.linalg.LinAlgError(str(err)) from err
-    # Rayleigh-Ritz, as hmt ends: X ~ (X Q) Q^T for an orthonormal basis Q of the Ritz vectors.
+    # Rayleigh-Ritz, as hmt ends: X ~ Q (Q^T X) for an orthonormal basis Q of
+    # the left Ritz vectors, and X ~ (X Q) Q^T for one of the right.
     q, _ = qr_thin(basis)
+    if m < n:
+        small = svd_truncated(q.T @ x, r)
+        return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
     small = svd_truncated(x @ q, r)
     return LowRankFactors(u=small.u, v=q @ small.v, sigma=small.sigma)
 

@@ -3,7 +3,6 @@ and normalized singular spectra."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,10 +70,7 @@ def relative_errors(target, approx) -> tuple[float, float]:
         raise ValueError(f"shape mismatch: {target.shape} vs {approx.shape}")
     frobenius, largest = target_norms(target)
     diff = target - approx
-    # max|d| as max(max d, -min d) needs no |d| temporary; abs() gives the
-    # +0.0 of |d| when d holds only zeros, some of them -0.0.
-    chebyshev = abs(max(diff.max(), -diff.min()))
-    return float(np.linalg.norm(diff) / frobenius), float(chebyshev / largest)
+    return float(np.linalg.norm(diff) / frobenius), float(np.abs(diff).max() / largest)
 
 
 def violation_stats(
@@ -88,22 +84,12 @@ def violation_stats(
     """
     x = as_matrix(x, "x")
     thr = abs(threshold)
-    below = above = (0.0, 0.0, 0.0)
-    # A side that is infinite or that no entry passes builds no array.  The
-    # magnitudes are kept at full shape, +0.0 off the mask, so the Frobenius
-    # sum is bitwise that of the clamping residual.  Rounding is monotone,
-    # so the largest magnitude is that of the extreme entry.
-    if bounds.lo > -math.inf and (low := x.min()) < bounds.lo - thr:
-        mask = x < bounds.lo - thr
-        magnitude = np.zeros_like(x)
-        np.subtract(bounds.lo, x, out=magnitude, where=mask)
-        below = (np.linalg.norm(magnitude), bounds.lo - low, np.count_nonzero(mask) / x.size)
-    if bounds.hi < math.inf and (high := x.max()) > bounds.hi + thr:
-        mask = x > bounds.hi + thr
-        magnitude = np.zeros_like(x)
-        np.subtract(x, bounds.hi, out=magnitude, where=mask)
-        above = (np.linalg.norm(magnitude), high - bounds.hi, np.count_nonzero(mask) / x.size)
-    return ViolationStats(*(float(v) for v in below + above))
+    neg = np.where(x < bounds.lo - thr, bounds.lo - x, 0.0)
+    over = np.where(x > bounds.hi + thr, x - bounds.hi, 0.0)
+    return ViolationStats(
+        float(np.linalg.norm(neg)), float(neg.max()), np.count_nonzero(neg) / x.size,
+        float(np.linalg.norm(over)), float(over.max()), np.count_nonzero(over) / x.size,
+    )
 
 
 def normalized_spectrum(x) -> np.ndarray:

@@ -255,6 +255,16 @@ class TestMainRun:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
+    def test_parameter_the_engine_lacks_fails_before_writing(self, tmp_path, capsys):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["method"] = {"name": "gn", "r": 3, "l": 6, "k": 99, "iterations": 2,
+                         "sketch": {"kind": "gaussian"}}
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: gn takes no k\n"
+        assert not (tmp_path / "out").exists()
+
     def test_arpack_failure_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         # 5 r < min(m, n): svd projects by ARPACK, whose failure is a RuntimeError.
         def fail(*args, **kwargs):

@@ -160,6 +160,12 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_method({**raw, **extra})
 
+    def test_sketch_seed_is_refused(self):
+        # Each trial's sketch seed derives from master_seed.
+        raw = {"name": "hmt", "r": 2, "k": 4, "sketch": {"kind": "gaussian", "seed": 5}}
+        with pytest.raises(ValueError, match="^method.sketch has unknown key 'seed'$"):
+            parse_method(raw)
+
     def test_config_unknown_key(self):
         raw = {
             "problem": {"type": "uniform", "rows": 2, "cols": 2},
@@ -243,6 +249,18 @@ class TestRunExperiment:
             ExperimentConfig(**{**small_config(tmp_path / "z").__dict__, "workers": 0})
         assert not (tmp_path / "z").exists()
 
+    def test_failed_trial_writes_nothing(self, tmp_path):
+        config = ExperimentConfig(
+            problem=UniformProblem(rows=4, cols=5, seed=1),
+            method=MethodSpec(method="svd", r=6, s=2),
+            trials=1,
+            master_seed=0,
+            output_dir=str(tmp_path / "out_r6"),
+        )
+        with pytest.raises(ValueError, match="rank 6 out of range"):
+            run_experiment(config)
+        assert not (tmp_path / "out_r6").exists()
+
     def test_mean_trace_is_exact_arithmetic_mean(self, tmp_path):
         config = small_config(tmp_path / "out")
         run_experiment(config)
@@ -308,3 +326,13 @@ class TestExportSpectrum:
     def test_count_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="count"):
             export_spectrum(UniformProblem(rows=8, cols=8, seed=3), 9, tmp_path / "x.csv")
+
+    def test_count_checked_before_the_spectrum(self, tmp_path, monkeypatch):
+        def spectrum(x):
+            raise AssertionError("spectrum computed for an invalid count")
+
+        monkeypatch.setattr("lrap.harness.normalized_spectrum", spectrum)
+        for count in (0, 9):
+            with pytest.raises(ValueError, match=rf"^count must be in \[1, 6\], got {count}$"):
+                export_spectrum(UniformProblem(rows=8, cols=6, seed=3), count, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()

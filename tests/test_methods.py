@@ -46,6 +46,21 @@ class TestMethodSpecValidation:
         with pytest.raises(ValueError, match="l >= r"):
             MethodSpec(method="gn", r=8, l=7, sketch=GAUSS)
 
+    @pytest.mark.parametrize(
+        "method, fields, refused",
+        [
+            ("svd", dict(k=6), "k"), ("svd", dict(l=8), "l"), ("svd", dict(p=1), "p"),
+            ("tangent", dict(k=6), "k"), ("tangent", dict(l=8), "l"), ("tangent", dict(p=1), "p"),
+            ("hmt", dict(k=6, l=8, sketch=GAUSS), "l"),
+            ("tropp", dict(k=6, l=8, p=1, sketch=GAUSS), "p"),
+            ("gn", dict(k=6, l=8, sketch=GAUSS), "k"),
+            ("gn", dict(l=8, p=1, sketch=GAUSS), "p"),
+        ],
+    )
+    def test_parameter_the_engine_lacks_is_refused(self, method, fields, refused):
+        with pytest.raises(ValueError, match=f"^{method} takes no {refused}$"):
+            MethodSpec(method=method, r=4, **fields)
+
     def test_randomized_methods_need_a_sketch(self):
         with pytest.raises(ValueError, match="sketch"):
             MethodSpec(method="hmt", r=4, k=6)
@@ -352,6 +367,17 @@ class TestExactProjectionPaths:
         # One rank less: the Krylov path.
         assert_same_truncation(exact_projection(x, 7), svd_truncated(x.toarray(), 7))
         assert len(calls) == 1
+
+    def test_wide_input_runs_lanczos_on_the_shorter_side(self, monkeypatch):
+        shapes = []
+        original = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "eigsh",
+            lambda operator, **k: shapes.append(operator.shape) or original(operator, **k),
+        )
+        x = clamped(KRYLOV_SHAPES["wide"], 10, BOXES[1], seed=5)
+        assert_same_truncation(exact_projection(x, 5), svd_truncated(x.toarray(), 5))
+        assert shapes == [(40, 40)]
 
     def test_traces_do_not_depend_on_the_worker_count(self, tmp_path):
         outputs = []
