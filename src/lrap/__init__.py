@@ -9,9 +9,6 @@ from .flopmodel import (
     dominant_coefficient,
     flops_init,
     flops_per_iteration,
-    flops_qr,
-    flops_sketch_apply,
-    flops_sketch_gen,
     flops_svd,
 )
 from .harness import (

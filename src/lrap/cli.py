@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     flops_p.add_argument(
         "--spec",
         action="append",
-        default=[],
+        required=True,
         help="method spec, e.g. 'hmt(0,70):rad(0.2)'; repeatable",
     )
     flops_p.set_defaults(func=_cmd_flops)

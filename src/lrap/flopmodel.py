@@ -3,10 +3,8 @@
 The model evaluates closed-form operation counts; nothing is instrumented
 at runtime.  Costing conventions:
 
-* thin QR of a tall m x n matrix with the orthogonal factor formed:
-  ``4 m n^2 - (4/3) n^3``;
-* SVD of a tall matrix: ``14 m n^2 + 8 n^3`` in general, ``6 m n^2 + 20 n^3``
-  for strongly rectangular input, ``21 m^3`` for square input;
+* SVD of a tall matrix: ``14 m n^2 + 8 n^3`` in general, ``21 m^3`` for
+  square input;
 * each sketch kind has a cost per entry to draw and to apply, given its
   density (``_ENTRY_COSTS``).
 
@@ -23,26 +21,15 @@ from functools import reduce
 from operator import add
 
 from .methods import ENGINES, MethodSpec
-from .sketching import SketchSpec
 
 __all__ = [
     "dominant_coefficient",
     "flops_init",
     "flops_per_iteration",
-    "flops_qr",
-    "flops_sketch_apply",
-    "flops_sketch_gen",
     "flops_svd",
 ]
 
-SVD_VARIANTS = ("general", "tall", "square")
-
-
-def flops_qr(m: int, n: int) -> float:
-    """Cost of a thin Householder QR with Q formed explicitly."""
-    if m < n or n < 1:
-        raise ValueError(f"qr cost requires m >= n >= 1, got {m}x{n}")
-    return 4.0 * m * n * n - (4.0 / 3.0) * n**3
+SVD_VARIANTS = ("general", "square")
 
 
 def flops_svd(m: int, n: int, variant: str = "general") -> float:
@@ -55,8 +42,6 @@ def flops_svd(m: int, n: int, variant: str = "general") -> float:
         if m != n:
             raise ValueError(f"square SVD variant requires m == n, got {m}x{n}")
         return 21.0 * m**3
-    if variant == "tall":
-        return 6.0 * m * n * n + 20.0 * n**3
     return 14.0 * m * n * n + 8.0 * n**3
 
 
@@ -68,18 +53,6 @@ _ENTRY_COSTS = {
     "rademacher": lambda density: (1.0, 1.0),
     "sparse": lambda density: (1.0 + density, density),
 }
-
-
-def flops_sketch_gen(kind: str, density: float, rows: int, cols: int) -> float:
-    """Cost of drawing a rows x cols test matrix."""
-    gen, _ = _ENTRY_COSTS[kind](SketchSpec(kind, density).density)
-    return gen * float(rows * cols)
-
-
-def flops_sketch_apply(kind: str, density: float, m: int, n: int, k: int) -> float:
-    """Cost of applying an m x n test matrix across k vectors."""
-    _, apply = _ENTRY_COSTS[kind](SketchSpec(kind, density).density)
-    return apply * float(m * n * k)
 
 
 # One iteration of each engine on a tall m x n target, from the per-entry

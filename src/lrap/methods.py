@@ -341,10 +341,11 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     if factors is None:
         # No base point yet: project onto the whole rank-r manifold.
         return _project_svd(x, factors, spec, iteration_seed)
-    if factors.sigma is None:
-        raise ValueError("tangent step requires SVD-form factors (u, sigma, v)")
-    r = spec.r
+    # The tangent space depends only on the column and row spaces, so a
+    # sigma-less base point needs only orthonormal bases of them.
     u, v = factors.u, factors.v
+    if factors.sigma is None:
+        u, v = qr_thin(u)[0], qr_thin(v)[0]
     g1 = u.T @ x                      # r x n
     core = g1 @ v                     # u.T x v, r x r
     g2 = x @ v - u @ core             # (I - u u.T) x v, m x r
@@ -353,8 +354,9 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     # orthonormal columns and the small SVD below is a genuine SVD of the
     # projected matrix.
     q1, r1 = qr_thin(g1.T - v @ core.T)
-    z = np.block([[core, r1.T], [r2, np.zeros((r, r))]])
-    small = svd_truncated(z, r)
+    z = np.block([[core, r1.T], [r2, np.zeros_like(core)]])
+    # A base point of rank below r/2 spans a tangent space of rank below r.
+    small = svd_truncated(z, min(spec.r, z.shape[0]))
     return LowRankFactors(
         u=np.hstack([u, q2]) @ small.u,
         v=np.hstack([v, q1]) @ small.v,
@@ -462,8 +464,8 @@ def ap_svd_step(state: IterateState, spec: MethodSpec) -> IterateState:
 def ap_tangent_step(state: IterateState, spec: MethodSpec) -> IterateState:
     """One tangent-space step.
 
-    The state must carry SVD-form factors; the driver seeds them with a
-    truncated SVD of the initial iterate.
+    Factors that carry sigma are taken to be an SVD; a sigma-less pair is
+    orthonormalized by QR, which spans the same tangent space.
     """
     return _step("tangent", state, spec, 0)
 
@@ -505,8 +507,8 @@ def run_method(
     ----------
     y0 : LowRankFactors
         Initial iterate of rank at most ``spec.r``.  For the tangent method
-        a sigma-less pair is re-factorized with a truncated SVD first;
-        factors that do carry sigma are assumed to be an SVD.
+        factors that carry sigma are assumed to be an SVD, and a sigma-less
+        pair is orthonormalized as in :func:`ap_tangent_step`.
     target : ndarray, optional
         Reference for the relative-error columns of the trace, of the
         iterate's shape and nonzero; its norms are computed once per run.
@@ -527,8 +529,6 @@ def run_method(
     # Rebuilding validates again arrays written to since y0 was built, which
     # the loop's clamp pass would catch only if there is an iteration.
     factors = LowRankFactors(y0.u, y0.v, y0.sigma)
-    if spec.method == "tangent" and factors.sigma is None:
-        factors = svd_truncated(factors.reconstruct(), spec.r)
     if target is None:
         target = factors.reconstruct()
     else:

@@ -55,26 +55,24 @@ class SketchSpec:
 
 @dataclass(frozen=True)
 class SparseSignMatrix:
-    """Sparse matrix whose stored entries are exactly +1 or -1 (COO layout)."""
+    """Sparse sign test matrix, kept as the dense array the engines multiply.
 
-    rows: int
-    cols: int
-    row_index: np.ndarray
-    col_index: np.ndarray
-    values: np.ndarray
+    ``array`` is read-only and holds +1 or -1 at the entries the mask
+    selected and 0 elsewhere; ``densify()`` returns a writable copy.
+    """
+
+    array: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self.array.shape
 
     @property
     def nnz(self) -> int:
-        return self.values.size
+        return int(np.count_nonzero(self.array))
 
     def densify(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.row_index, self.col_index] = self.values
-        return out
+        return self.array.copy()
 
 
 def sub_seed(seed: int, *path: int) -> int:
@@ -123,8 +121,8 @@ def _gaussian_block(rng: np.random.Generator, count: int) -> np.ndarray:
 def gen_test_matrix(spec: SketchSpec, rows: int, cols: int):
     """Draw a ``rows x cols`` test matrix for the given spec.
 
-    Gaussian and sign matrices come back dense; the sparse kind returns a
-    :class:`SparseSignMatrix`.  The draw is deterministic in
+    Gaussian and sign matrices come back as arrays; the sparse kind returns
+    a :class:`SparseSignMatrix`.  The draw is deterministic in
     ``(spec, rows, cols)``.
     """
     if rows < 1 or cols < 1:
@@ -135,27 +133,22 @@ def gen_test_matrix(spec: SketchSpec, rows: int, cols: int):
     if spec.kind == "rademacher":
         return np.where(rng.random((rows, cols)) < 0.5, 1.0, -1.0)
     # Sparse mask: one uniform draw per entry decides membership, one sign
-    # draw per selected entry.  Splitting the mask's flat indices by row
-    # length gives its row-major (row, col) pairs far faster than a 2-D
-    # nonzero does.
+    # draw per selected entry, written in row-major order through the mask's
+    # flat indices (faster than a boolean-mask assignment).
     flat = np.flatnonzero(rng.random((rows, cols)) < spec.density)
-    row_index, col_index = np.divmod(flat, cols)
-    values = np.where(rng.random(flat.size) < 0.5, 1.0, -1.0)
-    return SparseSignMatrix(
-        rows=rows,
-        cols=cols,
-        row_index=row_index.astype(np.int64, copy=False),
-        col_index=col_index.astype(np.int64, copy=False),
-        values=values,
-    )
+    array = np.zeros((rows, cols))
+    array.ravel()[flat] = np.where(rng.random(flat.size) < 0.5, 1.0, -1.0)
+    array.flags.writeable = False
+    return SparseSignMatrix(array)
 
 
 def _operand(sketch, name: str, check_finite: bool):
-    # A sparse sign matrix is densified: a dense GEMM beats SciPy's sparse
-    # products at the sketch sizes the engines use, and the dense-sparse one
-    # copies the transpose of the other operand.
+    # A sparse sign matrix is multiplied as its stored array, unscanned (the
+    # draw holds only signs and zeros): a dense GEMM beats SciPy's sparse
+    # products at the engines' sketch sizes, and the dense-sparse one copies
+    # the transpose of the other operand.
     if isinstance(sketch, SparseSignMatrix):
-        return sketch.densify()
+        return sketch.array
     return as_matrix(sketch, name) if check_finite else sketch
 
 

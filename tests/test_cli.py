@@ -67,6 +67,15 @@ class TestMainFlops:
         out = capsys.readouterr().out
         assert "6.5e+07" in out and "3.3e+07" in out
 
+    def test_spec_is_required(self, capsys):
+        # Without a spec there is no table to print: argparse's usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flops", "--size", "64x64", "--rank", "4"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--spec" in captured.err and "required" in captured.err
+
     def test_bad_size(self, capsys):
         assert main(["flops", "--size", "abc", "--rank", "4", "--spec", "svd"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -6,9 +6,6 @@ from lrap import (
     dominant_coefficient,
     flops_init,
     flops_per_iteration,
-    flops_qr,
-    flops_sketch_apply,
-    flops_sketch_gen,
     flops_svd,
 )
 
@@ -18,38 +15,13 @@ RAD = SketchSpec(kind="rademacher")
 
 
 class TestKernelCosts:
-    def test_qr_values(self):
-        assert flops_qr(256, 64) == pytest.approx(3_844_778.666, abs=1e-2)
-        assert flops_qr(512, 50) == pytest.approx(4_953_333.333, abs=1e-2)
-
-    def test_qr_square_specialization(self):
-        for n in (3, 10, 64):
-            assert flops_qr(n, n) == pytest.approx((8.0 / 3.0) * n**3)
-
-    def test_qr_rejects_wide(self):
-        with pytest.raises(ValueError):
-            flops_qr(10, 11)
-
     def test_svd_variants(self):
         assert flops_svd(256, 256, "square") == 21.0 * 256**3
         assert flops_svd(100, 10, "general") == 148_000.0
-        assert flops_svd(100, 10, "tall") == 80_000.0
         with pytest.raises(ValueError, match="m == n"):
             flops_svd(100, 10, "square")
         with pytest.raises(ValueError, match="variant"):
-            flops_svd(10, 10, "fancy")
-
-    def test_sketch_generation(self):
-        assert flops_sketch_gen("gaussian", 1.0, 256, 70) == 75.0 * 256 * 70
-        assert flops_sketch_gen("rademacher", 1.0, 8, 8) == 64.0
-        assert flops_sketch_gen("sparse", 0.2, 256, 70) == pytest.approx(1.2 * 256 * 70)
-
-    def test_sketch_application(self):
-        assert flops_sketch_apply("gaussian", 1.0, 32, 16, 4) == 2.0 * 32 * 16 * 4
-        assert flops_sketch_apply("rademacher", 1.0, 32, 16, 4) == 32 * 16 * 4
-        assert flops_sketch_apply("sparse", 0.5, 32, 16, 4) == 0.5 * 32 * 16 * 4
-        with pytest.raises(ValueError, match="density"):
-            flops_sketch_apply("sparse", 1.5, 2, 2, 2)
+            flops_svd(10, 10, "tall")
 
 
 class TestPerIteration:

@@ -159,10 +159,31 @@ class TestTangentSpace:
         f = svd_truncated(y, r)
         assert rel_err(y, tangent_space_apply(y, f.u, f.v)) < 1e-10
 
-    def test_step_requires_svd_form_state(self):
+    def test_sigma_less_step_matches_svd_form_step(self, rng):
+        # The same base point as an SVD and as a sigma-less pair mixed by an
+        # invertible matrix: both span one tangent space.
+        r = 4
+        base = svd_truncated(gen_uniform(30, 24, 11), r)
+        mix = rng.standard_normal((r, r)) + 3.0 * np.eye(r)
+        pair = LowRankFactors(u=(base.u * base.sigma) @ mix, v=base.v @ np.linalg.inv(mix).T)
+        assert rel_err(base.reconstruct(), pair.reconstruct()) < 1e-13
+        spec = MethodSpec(method="tangent", r=r, s=3)
+        svd_form = ap_tangent_step(IterateState(base), spec).factors.reconstruct()
+        sigma_less = ap_tangent_step(IterateState(pair), spec).factors.reconstruct()
+        assert rel_err(svd_form, sigma_less) < 1e-12
+        target = gen_uniform(30, 24, 12)
+        _, trace = run_method(base, spec, target=target)
+        _, pair_trace = run_method(pair, spec, target=target)
+        for one, two in zip(trace, pair_trace):
+            assert one.rel_frobenius == pytest.approx(two.rel_frobenius, rel=1e-10)
+
+    def test_base_point_of_rank_below_r(self):
+        # A rank-1 base point under r = 4, as a pair and as an SVD: its
+        # tangent space, and the step's factors, have rank 2.
         pair = LowRankFactors(u=np.ones((6, 1)), v=np.ones((5, 1)))
-        with pytest.raises(ValueError, match="SVD-form"):
-            ap_tangent_step(IterateState(pair), MethodSpec(method="tangent", r=1))
+        spec = MethodSpec(method="tangent", r=4)
+        for base in (pair, svd_truncated(pair.reconstruct(), 1)):
+            assert ap_tangent_step(IterateState(base), spec).factors.rank == 2
 
     def test_iterate_stays_rank_r(self):
         a = gen_uniform(40, 40, 12)

@@ -92,10 +92,25 @@ class TestGenTestMatrix:
         assert abs(dense.var() - 0.2) < 1e-2
 
     def test_no_duplicate_positions(self):
-        sparse = gen_test_matrix(SketchSpec(kind="sparse", density=0.5, seed=8), 40, 30)
-        flat = sparse.row_index * 30 + sparse.col_index
-        assert np.unique(flat).size == flat.size
-        assert set(np.unique(sparse.values)) <= {-1.0, 1.0}
+        # Each selected position holds one sign; a repeated position would
+        # have left fewer nonzeros than sign draws.
+        spec = SketchSpec(kind="sparse", density=0.5, seed=8)
+        sparse = gen_test_matrix(spec, 40, 30)
+        _, _, values = draw_sparse_by_2d_nonzero(spec, 40, 30)
+        assert sparse.nnz == values.size
+        assert set(np.unique(sparse.array)) <= {-1.0, 0.0, 1.0}
+
+    def test_stored_array_is_read_only_and_densify_copies_it(self):
+        sparse = gen_test_matrix(SketchSpec(kind="sparse", density=0.3, seed=13), 12, 9)
+        assert sparse.array.shape == sparse.shape == (12, 9)
+        with pytest.raises(ValueError, match="read-only"):
+            sparse.array[0, 0] = 2.0
+        dense = sparse.densify()
+        assert dense.flags.writeable and not np.shares_memory(dense, sparse.array)
+        assert np.array_equal(dense, sparse.array)
+        dense[0, 0] = 2.0
+        assert sparse.array[0, 0] != 2.0
+        assert sparse.nnz == np.count_nonzero(sparse.densify())
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="density"):
@@ -116,13 +131,9 @@ class TestApplySketch:
 
     def test_right_single_entry(self, rng):
         x = rng.standard_normal((5, 4))
-        psi = SparseSignMatrix(
-            rows=4,
-            cols=3,
-            row_index=np.array([0]),
-            col_index=np.array([0]),
-            values=np.array([1.0]),
-        )
+        entries = np.zeros((4, 3))
+        entries[0, 0] = 1.0
+        psi = SparseSignMatrix(entries)
         out = apply_sketch_right(x, psi)
         np.testing.assert_allclose(out[:, 0], x[:, 0])
         np.testing.assert_allclose(out[:, 1:], 0.0)
@@ -140,13 +151,9 @@ class TestApplySketch:
 
     def test_left_single_entry(self, rng):
         x = rng.standard_normal((4, 5))
-        phi = SparseSignMatrix(
-            rows=3,
-            cols=4,
-            row_index=np.array([0]),
-            col_index=np.array([0]),
-            values=np.array([-1.0]),
-        )
+        entries = np.zeros((3, 4))
+        entries[0, 0] = -1.0
+        phi = SparseSignMatrix(entries)
         out = apply_sketch_left(phi, x)
         np.testing.assert_allclose(out[0], -x[0])
         np.testing.assert_allclose(out[1:], 0.0)
@@ -167,9 +174,7 @@ class TestApplySketch:
 
 
 def to_csr(sketch: SparseSignMatrix) -> scipy.sparse.csr_array:
-    return scipy.sparse.csr_array(
-        (sketch.values, (sketch.row_index, sketch.col_index)), shape=sketch.shape
-    )
+    return scipy.sparse.csr_array(sketch.densify())
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,11 +235,12 @@ def test_sparse_draw_is_bitwise_the_2d_nonzero_draw(shape, density, seed):
     spec = SketchSpec(kind="sparse", density=density, seed=seed)
     sketch = gen_test_matrix(spec, *shape)
     row_index, col_index, values = draw_sparse_by_2d_nonzero(spec, *shape)
-    assert sketch.row_index.dtype == np.int64 and sketch.col_index.dtype == np.int64
-    assert np.array_equal(sketch.row_index, row_index)
-    assert np.array_equal(sketch.col_index, col_index)
-    assert sketch.values.dtype == values.dtype
-    assert np.array_equal(sketch.values, values)
+    expected = np.zeros(shape)
+    expected[row_index, col_index] = values
+    assert sketch.array.dtype == expected.dtype
+    # Bitwise: a -0.0 or a stray NaN would pass an equality check.
+    assert sketch.array.tobytes() == expected.tobytes()
+    assert sketch.nnz == values.size
 
 
 def test_sub_seed_distinct_paths():
