@@ -57,7 +57,6 @@ from .sketching import (
     apply_sketch_left,
     apply_sketch_right,
     gen_test_matrix,
-    sample_gaussian_pair,
     sub_seed,
 )
 

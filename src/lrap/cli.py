@@ -28,6 +28,7 @@ from .harness import (
     load_config,
     parse_config,
     parse_problem,
+    read_json,
     run_experiment,
 )
 from .methods import ENGINES, MethodSpec
@@ -117,8 +118,7 @@ def _load_problem_arg(text: str):
     if text.startswith("{"):
         raw = json.loads(text)
     else:
-        with open(text, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = read_json(text, "problem file")
     if isinstance(raw, dict) and "problem" in raw and "type" not in raw:
         # A config file: checked as `lrap run` checks it, unless it holds
         # nothing but its problem.

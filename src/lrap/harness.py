@@ -37,6 +37,7 @@ __all__ = [
     "parse_config",
     "parse_method",
     "parse_problem",
+    "read_json",
     "run_experiment",
 ]
 
@@ -219,13 +220,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path, what: str = "config file"):
+    """Parse the JSON file at ``path``; malformed JSON raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as err:
-            raise ValueError(f"config file {path} is not valid JSON: {err}") from None
-    return parse_config(raw)
+            raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_json(path))
 
 
 def build_target(problem, trial: int = 0) -> np.ndarray:

@@ -11,7 +11,8 @@ Five ways to realize the rank-r projection half of the iteration:
 * ``tropp``   -- two-sided sketch with a pseudoinverse correction, sketch
   sizes ``l >= k >= r``;
 * ``gn``      -- generalized Nystrom estimator, SVD-free, range sketch size
-  ``l >= r``.
+  ``l >= r``; in exact arithmetic gn(l) is tropp(r, l) (see README), so gn
+  takes no ``k``: an oversampled gn is tropp(r + p, l).
 
 :data:`ENGINES` defines each one: its projection and the parameters of its
 compact form.  Each engine is exposed both as a single step acting on an

@@ -22,13 +22,11 @@ __all__ = [
     "apply_sketch_left",
     "apply_sketch_right",
     "gen_test_matrix",
-    "sample_gaussian_pair",
     "sub_seed",
 ]
 
 KINDS = ("gaussian", "rademacher", "sparse")
 
-_TWO_PI = 2.0 * math.pi
 _U64 = 2**64
 
 
@@ -89,21 +87,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed) % _U64))
 
 
-def sample_gaussian_pair(u1: float, u2: float) -> tuple[float, float]:
-    """Box-Muller transform of two uniform samples.
-
-    Maps ``u1 in (0, 1]`` and ``u2 in [0, 1)`` to two independent standard
-    normal samples ``(sqrt(-2 log u1) cos(2 pi u2), sqrt(-2 log u1) sin(2 pi u2))``.
-    """
-    if not 0.0 < u1 <= 1.0:
-        raise ValueError(f"u1 must be in (0, 1], got {u1}")
-    if not 0.0 <= u2 < 1.0:
-        raise ValueError(f"u2 must be in [0, 1), got {u2}")
-    radius = math.sqrt(-2.0 * math.log(u1))
-    angle = _TWO_PI * u2
-    return radius * math.cos(angle), radius * math.sin(angle)
-
-
 def _gaussian_block(rng: np.random.Generator, count: int) -> np.ndarray:
     # Vectorized Box-Muller; 1 - random() maps [0, 1) onto (0, 1] so the log
     # never sees zero.
@@ -111,7 +94,7 @@ def _gaussian_block(rng: np.random.Generator, count: int) -> np.ndarray:
     u1 = 1.0 - rng.random(pairs)
     u2 = rng.random(pairs)
     radius = np.sqrt(-2.0 * np.log(u1))
-    angle = _TWO_PI * u2
+    angle = 2.0 * math.pi * u2
     out = np.empty(2 * pairs)
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
@@ -142,24 +125,22 @@ def gen_test_matrix(spec: SketchSpec, rows: int, cols: int):
     return SparseSignMatrix(array)
 
 
-def _operand(sketch, name: str, check_finite: bool):
-    # A sparse sign matrix is multiplied as its stored array, unscanned (the
-    # draw holds only signs and zeros): a dense GEMM beats SciPy's sparse
-    # products at the engines' sketch sizes, and the dense-sparse one copies
-    # the transpose of the other operand.
-    if isinstance(sketch, SparseSignMatrix):
-        return sketch.array
-    return as_matrix(sketch, name) if check_finite else sketch
+def _operand(a, name: str, check_finite: bool):
+    # A sparse sign matrix is multiplied as its stored array, down the dense
+    # path: a dense GEMM beats SciPy's sparse products at the engines' sketch
+    # sizes, and the dense-sparse one copies the transpose of the other operand.
+    if isinstance(a, SparseSignMatrix):
+        a = a.array
+    return as_matrix(a, name) if check_finite else a
 
 
 def apply_sketch_right(x, psi, check_finite: bool = True) -> np.ndarray:
     """Compute ``x @ psi`` where ``psi`` may be dense or a sparse sign matrix.
 
-    ``check_finite=False`` skips the scan for non-finite entries.
+    A sparse sign matrix is scanned as a dense one is;
+    ``check_finite=False`` skips the scan of both operands.
     """
-    if check_finite:
-        x = as_matrix(x, "x")
-    psi = _operand(psi, "psi", check_finite)
+    x, psi = _operand(x, "x", check_finite), _operand(psi, "psi", check_finite)
     if x.shape[1] != psi.shape[0]:
         raise ValueError(f"cannot multiply {x.shape} by {psi.shape}")
     return x @ psi
@@ -168,11 +149,10 @@ def apply_sketch_right(x, psi, check_finite: bool = True) -> np.ndarray:
 def apply_sketch_left(phi, x, check_finite: bool = True) -> np.ndarray:
     """Compute ``phi @ x`` where ``phi`` may be dense or a sparse sign matrix.
 
-    ``check_finite=False`` skips the scan for non-finite entries.
+    A sparse sign matrix is scanned as a dense one is;
+    ``check_finite=False`` skips the scan of both operands.
     """
-    if check_finite:
-        x = as_matrix(x, "x")
-    phi = _operand(phi, "phi", check_finite)
+    x, phi = _operand(x, "x", check_finite), _operand(phi, "phi", check_finite)
     if phi.shape[1] != x.shape[0]:
         raise ValueError(f"cannot multiply {phi.shape} by {x.shape}")
     return phi @ x

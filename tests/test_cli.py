@@ -135,7 +135,7 @@ class TestMainRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
         assert main(["run", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert f"error: config file {bad} is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("sketch", "rad"), ("box", [0, 1])])
     def test_non_object_method_field_fails_cleanly(self, tmp_path, capsys, key, value):
@@ -366,6 +366,14 @@ class TestMainSpectrum:
         del target[key]
         path.write_text(json.dumps(raw))
         assert main(["spectrum", str(path), "--count", "3", "--output", str(tmp_path / "x.csv")]) == 0
+
+    def test_invalid_json_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{oops")
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", str(path), "--count", "3", "--output", str(out)]) == 1
+        assert f"error: problem file {path} is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_object_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "number.json"

@@ -484,6 +484,45 @@ class TestEquivalenceOnExactProjection:
             assert rel_err(y, out.factors.reconstruct()) < 1e-8, name
 
 
+class TestGnIsTroppWithKEqualR:
+    """gn(l) is tropp(r, l) in exact arithmetic.  With Q = qr(X Psi), gn's
+    X Psi (Phi X Psi)^+ Phi X equals Q (Phi Q)^+ Phi X, tropp's estimate,
+    whose rank-r truncation of a rank-r core changes nothing; both engines
+    draw Psi and Phi from the same roles of the same seed."""
+
+    SHAPES = {"tall": (60, 40), "wide": (40, 60), "square": (50, 50)}
+
+    @staticmethod
+    def specs(sketch, box, s=0):
+        return (
+            MethodSpec(method="gn", r=5, l=12, s=s, sketch=sketch, box=box),
+            MethodSpec(method="tropp", r=5, k=5, l=12, s=s, sketch=sketch, box=box),
+        )
+
+    @staticmethod
+    def assert_same(gn, tropp):
+        want = tropp.reconstruct()
+        assert np.linalg.norm(gn.reconstruct() - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("sketch", [SPARSE, GAUSS, RAD], ids=["sparse", "gauss", "rad"])
+    @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_steps_starts_and_runs_agree(self, shape, box, sketch):
+        # The rank-5 start leaves 2-3 % of the entries on each side of [0, 1].
+        target = np.random.default_rng(sum(shape)).uniform(-0.3, 1.3, shape)
+        start = svd_truncated(target, 5)
+        gn, tropp = self.specs(sketch, box)
+        self.assert_same(
+            ap_gn_step(IterateState(start), gn, 3).factors,
+            ap_tropp_step(IterateState(start), tropp, 3).factors,
+        )
+        self.assert_same(initialize(target, gn), initialize(target, tropp))
+        gn, tropp = self.specs(sketch, box, s=6)
+        self.assert_same(
+            run_method(start, gn, target=target)[0], run_method(start, tropp, target=target)[0]
+        )
+
+
 class TestInitialize:
     def test_deterministic_methods_use_truncated_svd(self):
         a = gen_uniform(30, 30, 14)

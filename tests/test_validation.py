@@ -1,9 +1,11 @@
 """Non-finite input is rejected at the public boundary.
 
 The engines validate their input once, where it enters: ``run_method``,
-``initialize`` and the ``ap_*_step`` functions.  Inner calls on arrays
-that lrap produced itself skip the scan, so each public kernel must still
-reject non-finite input when it is called directly.
+``initialize`` and the ``ap_*_step`` functions.  Inside an engine only the
+sketch applies skip the scan (``check_finite=False``); ``qr_thin``,
+``svd_truncated``, ``LowRankFactors`` and ``project_box`` scan on every
+call.  Each public kernel must reject non-finite input when it is called
+directly, and a sparse sign sketch is checked as a dense one is.
 """
 
 from dataclasses import replace
@@ -16,6 +18,7 @@ from lrap import (
     IterateState,
     MethodSpec,
     SketchSpec,
+    SparseSignMatrix,
     ap_gn_step,
     ap_hmt_step,
     ap_svd_step,
@@ -116,6 +119,12 @@ KERNELS = {
     "apply_sketch_right psi": lambda bad: apply_sketch_right(np.ones((4, 6)), with_bad_entry((6, 3), bad)),
     "apply_sketch_left x": lambda bad: apply_sketch_left(SPARSE_PHI, with_bad_entry((6, 4), bad)),
     "apply_sketch_left phi": lambda bad: apply_sketch_left(with_bad_entry((3, 6), bad), np.ones((6, 4))),
+    "apply_sketch_right sparse psi": lambda bad: apply_sketch_right(
+        np.ones((4, 6)), SparseSignMatrix(with_bad_entry((6, 3), bad))
+    ),
+    "apply_sketch_left sparse phi": lambda bad: apply_sketch_left(
+        SparseSignMatrix(with_bad_entry((3, 6), bad)), np.ones((6, 4))
+    ),
 }
 
 
