@@ -116,7 +116,10 @@ def _parse_size(text: str) -> tuple[int, int]:
 def _load_problem_arg(text: str):
     text = text.strip()
     if text.startswith("{"):
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"inline problem is not valid JSON: {err}") from None
     else:
         raw = read_json(text, "problem file")
     if isinstance(raw, dict) and "problem" in raw and "type" not in raw:
@@ -128,14 +131,9 @@ def _load_problem_arg(text: str):
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.output_dir is not None:
-        config = replace(config, output_dir=args.output_dir)
-    if args.trials is not None:
-        config = replace(config, trials=args.trials)
-    if args.master_seed is not None:
-        config = replace(config, master_seed=args.master_seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
+    for name in ("output_dir", "trials", "master_seed", "workers"):
+        if getattr(args, name) is not None:
+            config = replace(config, **{name: getattr(args, name)})
     if args.iterations is not None:
         config = replace(config, method=replace(config.method, s=args.iterations))
     summary = run_experiment(config)

@@ -280,21 +280,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    all_rows = np.stack([rows for _, _, rows, _ in results])
-    for t, (_, _, rows, _) in enumerate(results):
+    init_fro, init_cheb, all_rows, shapes = map(np.array, zip(*results))
+    for t, rows in enumerate(all_rows):
         _write_trace(out_dir / f"trial_{t}.csv", rows)
     _write_trace(out_dir / "mean.csv", np.mean(all_rows, axis=0))
 
-    init_fro = np.array([r[0] for r in results])
-    init_cheb = np.array([r[1] for r in results])
-    if config.method.s > 0:
-        final_fro = all_rows[:, -1, 0]
-        final_cheb = all_rows[:, -1, 1]
-    else:
-        final_fro, final_cheb = init_fro, init_cheb
-
     spec = config.method
-    shape = results[0][3]
+    final_fro, final_cheb = all_rows[:, -1, :2].T if spec.s > 0 else (init_fro, init_cheb)
+    shape = shapes[0].tolist()  # Python ints, so the flop counts are Python floats
     summary = {
         "method": spec.method,
         "params": {

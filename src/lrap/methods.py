@@ -31,13 +31,13 @@ through the products ``X @ B`` and ``A @ X``.
 one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
 ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix of the shorter
 side, X X^T for a wide X and X^T X otherwise, through those products, then
-takes the Rayleigh-Ritz step ``hmt`` ends with: a QR of the Lanczos basis Q
-and a small SVD of Q^T X or X Q.  A fresh fixed-seed generator
-each call draws the start vector and every restart vector, so reruns and
-worker threads agree to the byte; an ARPACK failure is raised as
-``LinAlgError``.  Elsewhere it forms X and truncates a full
-LAPACK SVD (:func:`svd_truncated`), which is cheaper when r is a large share
-of the shape: on uniform 256 x 256 iterates the two broke even near
+orthonormalizes the Lanczos basis Q and takes the Rayleigh-Ritz step
+:func:`_ritz` on Q^T X or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.
+A fresh fixed-seed generator each call draws the start vector and every
+restart vector, so reruns and worker threads agree to the byte; an ARPACK
+failure is raised as ``LinAlgError``.  Elsewhere it forms X and truncates a
+full LAPACK SVD (:func:`svd_truncated`), which is cheaper when r is a large
+share of the shape: on uniform 256 x 256 iterates the two broke even near
 r = 0.2 n (at 512 x 512 Lanczos still led at r = 0.25 n).
 """
 
@@ -306,6 +306,14 @@ def tangent_space_apply(x, u, v) -> np.ndarray:
     return u @ utx + (xv - u @ (utx @ v)) @ v.T
 
 
+def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
+    """Rayleigh-Ritz for X ~ left @ core @ right.T: the core's rank-r SVD, lifted."""
+    small = svd_truncated(core, r)
+    u = small.u if left is None else left @ small.u
+    v = small.v if right is None else right @ small.v
+    return LowRankFactors(u=u, v=v, sigma=small.sigma)
+
+
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
     if 5 * r >= min(x.shape):
@@ -328,14 +336,10 @@ def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
         _, basis = eigsh(operator, k=r, tol=0, rng=np.random.default_rng(0))
     except ArpackError as err:  # ArpackNoConvergence included
         raise np.linalg.LinAlgError(str(err)) from err
-    # Rayleigh-Ritz, as hmt ends: X ~ Q (Q^T X) for an orthonormal basis Q of
-    # the left Ritz vectors, and X ~ (X Q) Q^T for one of the right.
+    # X ~ Q (Q^T X) for an orthonormal basis Q of the left Ritz vectors, and
+    # X ~ (X Q) Q^T for one of the right.
     q, _ = qr_thin(basis)
-    if m < n:
-        small = svd_truncated(q.T @ x, r)
-        return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
-    small = svd_truncated(x @ q, r)
-    return LowRankFactors(u=small.u, v=q @ small.v, sigma=small.sigma)
+    return _ritz(q.T @ x, r, left=q) if m < n else _ritz(x @ q, r, right=q)
 
 
 def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -357,12 +361,7 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     q1, r1 = qr_thin(g1.T - v @ core.T)
     z = np.block([[core, r1.T], [r2, np.zeros_like(core)]])
     # A base point of rank below r/2 spans a tangent space of rank below r.
-    small = svd_truncated(z, min(spec.r, z.shape[0]))
-    return LowRankFactors(
-        u=np.hstack([u, q2]) @ small.u,
-        v=np.hstack([v, q1]) @ small.v,
-        sigma=small.sigma,
-    )
+    return _ritz(z, min(spec.r, z.shape[0]), left=np.hstack([u, q2]), right=np.hstack([v, q1]))
 
 
 def _project_hmt(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -373,9 +372,7 @@ def _project_hmt(x, factors, spec: MethodSpec, iteration_seed: int):
     for _ in range(spec.p):
         q, _ = qr_thin((q.T @ x).T)
         q, _ = qr_thin(x @ q)
-    z2 = q.T @ x
-    small = svd_truncated(z2, spec.r)
-    return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
+    return _ritz(q.T @ x, spec.r, left=q)
 
 
 def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -387,8 +384,7 @@ def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
     w = apply_sketch_left(phi, q, check_finite=False)
     p_factor, t_factor = qr_thin(w)
     g = solve_triangular(t_factor, p_factor.T @ apply_sketch_left(phi, x, check_finite=False))
-    small = svd_truncated(g, spec.r)
-    return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
+    return _ritz(g, spec.r, left=q)
 
 
 def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -499,7 +495,7 @@ def initialize(target, spec: MethodSpec) -> LowRankFactors:
 def run_method(
     y0: LowRankFactors,
     spec: MethodSpec,
-    target=None,
+    target,
     on_iteration: Callable[[IterationRecord], None] | None = None,
 ) -> tuple[LowRankFactors, list[IterationRecord]]:
     """Apply the selected step ``spec.s`` times and record metrics.
@@ -510,10 +506,9 @@ def run_method(
         Initial iterate of rank at most ``spec.r``.  For the tangent method
         factors that carry sigma are assumed to be an SVD, and a sigma-less
         pair is orthonormalized as in :func:`ap_tangent_step`.
-    target : ndarray, optional
-        Reference for the relative-error columns of the trace, of the
-        iterate's shape and nonzero; its norms are computed once per run.
-        Defaults to the densified initial iterate.
+    target : ndarray
+        Required reference for the relative-error columns of the trace, of
+        the iterate's shape and nonzero; its norms are computed once per run.
     on_iteration : callable, optional
         Invoked with each :class:`IterationRecord` as it is produced.
 
@@ -530,12 +525,9 @@ def run_method(
     # Rebuilding validates again arrays written to since y0 was built, which
     # the loop's clamp pass would catch only if there is an iteration.
     factors = LowRankFactors(y0.u, y0.v, y0.sigma)
-    if target is None:
-        target = factors.reconstruct()
-    else:
-        target = as_matrix(target, "target")
-        if target.shape != factors.shape:
-            raise ValueError(f"shape mismatch: {target.shape} vs {factors.shape}")
+    target = as_matrix(target, "target")
+    if target.shape != factors.shape:
+        raise ValueError(f"shape mismatch: {target.shape} vs {factors.shape}")
     norms = target_norms(target)
 
     trace: list[IterationRecord] = []

@@ -5,6 +5,7 @@ constant kernel and initial total number sqrt(K), on an equidistant grid."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,25 +100,17 @@ def smoluchowski_solution(spec: SmoluchowskiSpec) -> np.ndarray:
     return weight * smoluchowski_concentration(spec)
 
 
+# Whitespace and '#' comments, then one token up to the next whitespace or '#'.
+# A comment must run to its newline or the end: a bare #[^\n]* could stop
+# early and let the token start inside the comment.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments, then collect one whitespace-delimited
-    # token.
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if match is None:
         raise ValueError("malformed PGM header: unexpected end of file")
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def load_image_pgm(path) -> np.ndarray:

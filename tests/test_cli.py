@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import lrap
 from lrap.cli import main, parse_method_string, print_flop_table
 from lrap.harness import TRACE_HEADER
 from conftest import synthetic_image, write_pgm_p5
+
+# The directory that holds the imported lrap package.
+SRC = os.path.dirname(os.path.dirname(lrap.__file__))
 
 
 class TestParseMethodString:
@@ -66,6 +73,21 @@ class TestMainFlops:
         assert code == 0
         out = capsys.readouterr().out
         assert "6.5e+07" in out and "3.3e+07" in out
+
+    def test_dense_sketch_label(self, capsys):
+        assert main(["flops", "--size", "256x256", "--rank", "64", "--spec", "hmt(0,70):gauss"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["hmt(0,70)", "gaussian"]
+
+    def test_module_entry_point(self):
+        # `python -m lrap.cli`, as README documents it, in a fresh interpreter.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "lrap.cli", "flops", "--size", "64x64", "--rank", "4",
+             "--spec", "svd"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[:4] == ["method", "sketch", "flops/iter", "coeff/mn"]
 
     def test_spec_is_required(self, capsys):
         # Without a spec there is no table to print: argparse's usage error.
@@ -366,6 +388,12 @@ class TestMainSpectrum:
         del target[key]
         path.write_text(json.dumps(raw))
         assert main(["spectrum", str(path), "--count", "3", "--output", str(tmp_path / "x.csv")]) == 0
+
+    def test_invalid_inline_json_is_named(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "{oops", "--count", "3", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: inline problem is not valid JSON: ")
+        assert not out.exists()
 
     def test_invalid_json_file_is_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -22,6 +22,8 @@ class TestKernelCosts:
             flops_svd(100, 10, "square")
         with pytest.raises(ValueError, match="variant"):
             flops_svd(10, 10, "tall")
+        with pytest.raises(ValueError, match="m >= n >= 1, got 10x100"):
+            flops_svd(10, 100)
 
 
 class TestPerIteration:
@@ -49,6 +51,10 @@ class TestPerIteration:
     def test_rank_larger_than_matrix_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             flops_per_iteration(MethodSpec(method="svd", r=64), 32, 32)
+
+    def test_empty_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape must be positive, got 0x8"):
+            flops_per_iteration(MethodSpec(method="svd", r=1), 0, 8)
 
 
 class TestDominantCoefficient:

@@ -124,6 +124,7 @@ class TestParsing:
         "raw, message",
         [
             ({"name": "svd"}, "method is missing required key 'r'"),
+            (["svd"], "method must be an object with a 'name' key"),
             ({"name": "hmt", "r": 2, "k": 4, "sketch": {}},
              "method.sketch is missing required key 'kind'"),
         ],
@@ -243,6 +244,10 @@ class TestRunExperiment:
         run_experiment(threaded)
         for name in ("trial_0.csv", "mean.csv", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    def test_trial_count_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
+            ExperimentConfig(**{**small_config(tmp_path / "z").__dict__, "trials": 0})
 
     def test_worker_count_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="worker count"):

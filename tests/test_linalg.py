@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrap import LowRankFactors, qr_thin, svd_truncated
+from lrap.linalg import as_matrix
 from lrap.problems import gen_uniform
+
+
+def test_as_matrix_rejects_a_vector():
+    with pytest.raises(ValueError, match=r"x must be 2-D, got shape \(3,\)"):
+        as_matrix(np.ones(3), "x")
 
 
 class TestQrThin:
@@ -184,6 +190,10 @@ class TestLowRankFactors:
             LowRankFactors(u=u, v=v, sigma=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="nonincreasing"):
             LowRankFactors(u=u, v=v, sigma=np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="vector of length 2"):
+            LowRankFactors(u=u, v=v, sigma=np.array([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="sigma contains non-finite"):
+            LowRankFactors(u=u, v=v, sigma=np.array([np.inf, 1.0]))
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(ValueError, match="widths differ"):

@@ -61,6 +61,18 @@ class TestMethodSpecValidation:
         with pytest.raises(ValueError, match=f"^{method} takes no {refused}$"):
             MethodSpec(method=method, r=4, **fields)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(method="svd", r=0), "target rank must be >= 1, got 0"),
+            (dict(method="svd", r=2, s=-1), "iteration count must be >= 0, got -1"),
+            (dict(method="hmt", r=2, k=4, p=-1, sketch=GAUSS), "power iteration count must be >= 0"),
+        ],
+    )
+    def test_count_out_of_range(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            MethodSpec(**fields)
+
     def test_randomized_methods_need_a_sketch(self):
         with pytest.raises(ValueError, match="sketch"):
             MethodSpec(method="hmt", r=4, k=6)
@@ -450,7 +462,7 @@ class TestRunMethod:
     def test_initial_rank_above_target_rejected(self):
         a = gen_uniform(12, 12, 5)
         with pytest.raises(ValueError, match="rank"):
-            run_method(svd_truncated(a, 5), MethodSpec(method="svd", r=3, s=1))
+            run_method(svd_truncated(a, 5), MethodSpec(method="svd", r=3, s=1), target=a)
 
     def test_box_bounds_respected_by_projection(self):
         a = gen_uniform(32, 32, 6)

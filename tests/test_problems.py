@@ -23,6 +23,11 @@ class TestGenUniform:
         assert np.array_equal(a, gen_uniform(50, 40, 7))
         assert not np.array_equal(a, gen_uniform(50, 40, 8))
 
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0), (-1, 4)])
+    def test_non_positive_shape_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="shape must be positive"):
+            gen_uniform(rows, cols, 0)
+
     def test_mean_at_256(self):
         a = gen_uniform(256, 256, 31)
         assert abs(a.mean() - 0.5) < 0.004
@@ -147,6 +152,10 @@ class TestSmoluchowski:
             SmoluchowskiSpec(time=-1.0)
         with pytest.raises(ValueError):
             SmoluchowskiSpec(step=0.0)
+        with pytest.raises(ValueError, match="node count"):
+            SmoluchowskiSpec(nodes=0)
+        with pytest.raises(ValueError, match="grid origin"):
+            SmoluchowskiSpec(origin=-0.1)
 
 
 class TestLoadImagePgm:
@@ -181,6 +190,24 @@ class TestLoadImagePgm:
         write_pgm_p5(tmp_path / "img.pgm", synthetic_image(n=24))
         out = load_image_pgm(tmp_path / "img.pgm")
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n2 x\n255\n0 0\n", "header field b'x'"),
+            (b"P2\n0 2\n255\n", "dimensions 0x2"),
+            (b"P5\n1 1\n65536\n\x00\x00", "at most 65535"),
+            (b"P2\n2 1\n255\n0 y\n", "non-numeric pixel"),
+            # The maxval sits inside a comment, so the header ends early.
+            (b"P2\n2 1\n#255\n", "unexpected end of file"),
+            (b"P2\n2 1\n#255", "unexpected end of file"),
+        ],
+    )
+    def test_malformed_header_or_payload(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            load_image_pgm(path)
 
     def test_malformed_inputs(self, tmp_path):
         bad_magic = tmp_path / "bad.pgm"

@@ -83,7 +83,7 @@ class TestEntryPoints:
         with pytest.raises(ValueError, match="non-finite"):
             run_method(spoiled(bad), spec, target=target())
         with pytest.raises(ValueError, match="non-finite"):
-            run_method(spoiled(bad, "v"), spec)
+            run_method(spoiled(bad, "v"), spec, target=target())
 
     def test_initialize_rejects_target(self, method, bad):
         t = target()
