@@ -124,9 +124,9 @@ class TestParsing:
         "raw, message",
         [
             ({"name": "svd"}, "method is missing required key 'r'"),
-            (["svd"], "method must be an object with a 'name' key"),
             ({"name": "hmt", "r": 2, "k": 4, "sketch": {}},
              "method.sketch is missing required key 'kind'"),
+            (["svd"], "method must be an object with a 'name' key"),
         ],
     )
     def test_method_missing_key(self, raw, message):
