@@ -25,14 +25,18 @@ The clamped iterate X = Pi_box(Y) of the low-rank Y = u diag(sigma) v.T is
 never stored densely: it is Y plus a sparse correction that is nonzero only
 where Y leaves the box (:class:`ClampedIterate`).  One row-blocked pass over
 Y finds that correction and the iteration's metrics; the engines use X only
-through the products ``X @ B`` and ``A @ X``.
+through the products ``X @ B`` and ``A @ X``, and, on ``svd``'s Lanczos
+path, ``X.T @ B`` through the transposed iterate :attr:`ClampedIterate.T`.
+Each product is taken in the order that multiplies X by the narrowest
+factor: ``gn`` forms (Phi X)^T Q as ((Q^T Phi) X)^T and ``tropp`` forms
+P^T (Phi X) as (P^T Phi) X, so X meets r or k sketch rows, not l.
 
 ``svd``'s exact projection, which also starts ``svd`` and ``tangent``, takes
 one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
 ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix of the shorter
-side, X X^T for a wide X and X^T X otherwise, through those products, then
-orthonormalizes the Lanczos basis Q and takes the Rayleigh-Ritz step
-:func:`_ritz` on Q^T X or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.
+side, X X^T for a wide X and X^T X otherwise, as X (X^T B) or X^T (X B),
+then orthonormalizes the Lanczos basis Q and takes the Rayleigh-Ritz step
+:func:`_ritz` on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.
 A fresh fixed-seed generator each call draws the start vector and every
 restart vector, so reruns and worker threads agree to the byte; an ARPACK
 failure is raised as ``LinAlgError``.  Elsewhere it forms X and truncates a
@@ -175,7 +179,9 @@ class ClampedIterate:
     matrix, nonzero only where Y leaves the box.  So ``X @ B`` is
     ``left @ (right @ B) + C @ B`` and ``A @ X`` is ``(A @ left) @ right +
     A @ C``; neither forms X.  ``__array_ufunc__ = None`` makes ``A @ X``
-    with an ndarray ``A`` defer to :meth:`__rmatmul__`.
+    with an ndarray ``A`` defer to :meth:`__rmatmul__`, which pays SciPy's
+    dense-CSR rate for ``A @ C``; a caller with many left products takes
+    :attr:`T` once and multiplies ``X.T @ B`` instead, a CSR product.
 
     ``errors`` holds the relative Frobenius and Chebyshev errors of Y
     against the target of :func:`clamp_iterate` (None without one), and
@@ -184,11 +190,12 @@ class ClampedIterate:
 
     __array_ufunc__ = None
 
-    def __init__(self, left, right, box, correction, errors, violations):
+    def __init__(self, left, right, box, correction, errors, violations, transposed=False):
         self._left = left  # u diag(sigma), m x r
         self._right = right  # v.T, r x n
         self._box = box
         self._correction = correction
+        self._transposed = transposed  # made by T from the iterate of the clamp pass
         self.shape = (left.shape[0], right.shape[1])
         self.errors = errors
         self.violations = violations
@@ -199,12 +206,26 @@ class ClampedIterate:
     def __rmatmul__(self, a):
         return (a @ self._left) @ self._right + a @ self._correction
 
+    @property
+    def T(self) -> ClampedIterate:
+        """X^T as a clamped iterate of its own: views of the factors, and C^T built as a CSR."""
+        left, right, correction = self._right.T, self._left.T, self._correction.T.tocsr()
+        transposed = not self._transposed
+        return ClampedIterate(left, right, self._box, correction, self.errors, self.violations, transposed)
+
     def toarray(self) -> np.ndarray:
-        """X as one dense array: Y formed in the clamp pass's row blocks, then clamped."""
-        out = np.empty(self.shape)
-        for rows in _row_blocks(*self.shape):
-            np.matmul(self._left[rows], self._right, out=out[rows])
-        return project_box(out, self._box)
+        """X as one dense array: Y formed in the clamp pass's row blocks, then clamped.
+
+        A transpose forms the clamp pass's Y and returns its transpose, so
+        X.T.toarray() is X.toarray().T to the bit: BLAS may sum a product and
+        its transpose in different orders.
+        """
+        left, right = (self._right.T, self._left.T) if self._transposed else (self._left, self._right)
+        out = np.empty((left.shape[0], right.shape[1]))
+        for rows in _row_blocks(*out.shape):
+            np.matmul(left[rows], right, out=out[rows])
+        out = project_box(out, self._box)
+        return out.T if self._transposed else out
 
 
 def _side(magnitude: np.ndarray, size: int) -> tuple[float, float, float]:
@@ -326,9 +347,12 @@ def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     m, n = x.shape
+    # Taken once: every product below is then X B or X^T B, a CSR product
+    # for the correction, and none is the slower dense-CSR A C.
+    xt = x.T
 
     def gram(b):
-        return x @ (b.T @ x).T if m < n else ((x @ b).T @ x).T
+        return x @ (xt @ b) if m < n else xt @ (x @ b)
 
     operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
     try:
@@ -339,7 +363,7 @@ def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     # X ~ Q (Q^T X) for an orthonormal basis Q of the left Ritz vectors, and
     # X ~ (X Q) Q^T for one of the right.
     q, _ = qr_thin(basis)
-    return _ritz(q.T @ x, r, left=q) if m < n else _ritz(x @ q, r, right=q)
+    return _ritz((xt @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
 
 
 def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -383,7 +407,9 @@ def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
     q, _ = qr_thin(z)
     w = apply_sketch_left(phi, q, check_finite=False)
     p_factor, t_factor = qr_thin(w)
-    g = solve_triangular(t_factor, p_factor.T @ apply_sketch_left(phi, x, check_finite=False))
+    # P^T (Phi X) as (P^T Phi) X: X meets k rows, not l.
+    pt_phi = apply_sketch_right(p_factor.T, phi, check_finite=False)
+    g = solve_triangular(t_factor, apply_sketch_left(pt_phi, x, check_finite=False))
     return _ritz(g, spec.r, left=q)
 
 
@@ -396,7 +422,9 @@ def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
     q, r_factor = qr_thin(w)
     # Solved first, so that a collapsed sketch wastes no left apply of X.
     u = solve_triangular(r_factor.T, z.T, lower=True).T
-    v = apply_sketch_left(phi, x, check_finite=False).T @ q
+    # (Phi X)^T Q as ((Q^T Phi) X)^T: X meets r rows, not l.
+    qt_phi = apply_sketch_right(q.T, phi, check_finite=False)
+    v = apply_sketch_left(qt_phi, x, check_finite=False).T
     return LowRankFactors(u=u, v=v, sigma=None)
 
 
@@ -445,9 +473,24 @@ def _advance(x, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactor
         raise SketchCollapseError(message) from err
 
 
+def _check_fits(spec: MethodSpec, shape: tuple[int, int]) -> None:
+    """Refuse a rank or co-range sketch size that an m x n target cannot hold.
+
+    r <= min(m, n) for every engine, and k <= m for the engines that take a
+    k, whose range sketch X Psi is m x k; k > n is harmless there.
+    """
+    m, n = shape
+    where = f"out of range for the {m}x{n} target"
+    if spec.r > min(m, n):
+        raise ValueError(f"rank {spec.r} {where}: r must be at most {min(m, n)}")
+    if spec.k is not None and spec.k > m:
+        raise ValueError(f"co-range sketch size {spec.k} {where}: k must be at most {m}")
+
+
 def _step(method: str, state: IterateState, spec: MethodSpec, iteration_seed: int):
     if spec.method != method:
         raise ValueError(f"spec selects {spec.method!r}, step implements {method!r}")
+    _check_fits(spec, state.factors.shape)
     x = clamp_iterate(state.factors, spec.box)
     factors = _advance(x, state.factors, spec, iteration_seed)
     return IterateState(factors=factors, iteration=state.iteration + 1)
@@ -488,8 +531,11 @@ def initialize(target, spec: MethodSpec) -> LowRankFactors:
     The deterministic methods start from the truncated SVD; each randomized
     method applies its own projection to the target once, using stream 0 of
     the sketch seed (iterations use streams 1..s), retried as an iteration is.
+    A rank or co-range sketch size that the target cannot hold is refused first.
     """
-    return _advance(as_matrix(target, "target"), None, spec, 0)
+    target = as_matrix(target, "target")
+    _check_fits(spec, target.shape)
+    return _advance(target, None, spec, 0)
 
 
 def run_method(
@@ -509,6 +555,7 @@ def run_method(
     target : ndarray
         Required reference for the relative-error columns of the trace, of
         the iterate's shape and nonzero; its norms are computed once per run.
+        A rank or co-range sketch size that it cannot hold is refused.
     on_iteration : callable, optional
         Invoked with each :class:`IterationRecord` as it is produced.
 
@@ -528,6 +575,7 @@ def run_method(
     target = as_matrix(target, "target")
     if target.shape != factors.shape:
         raise ValueError(f"shape mismatch: {target.shape} vs {factors.shape}")
+    _check_fits(spec, target.shape)
     norms = target_norms(target)
 
     trace: list[IterationRecord] = []

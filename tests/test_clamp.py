@@ -145,6 +145,43 @@ def test_products_of_general_factors(box, shape, rank, with_sigma, block, seed):
     assert_products_match(x, project_box(y, box), y, rng)
 
 
+@st.composite
+def oriented_shapes(draw):
+    kind = draw(st.sampled_from(["tall", "wide", "square"]))
+    a = draw(st.integers(2, 12))
+    b = draw(st.integers(1, a - 1))
+    return {"tall": (a, b), "wide": (b, a), "square": (a, a)}[kind]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(BOXES),
+    oriented_shapes(),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_transpose_is_the_clamped_transpose(box, shape, rank, with_sigma, block, seed):
+    """X.T is X^T entry for entry, and its products are those of Pi_box(Y)^T."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    rank = min(rank, m, n)
+    sigma = np.sort(rng.random(rank))[::-1] + 0.5 if with_sigma else None
+    factors = LowRankFactors(u=rng.standard_normal((m, rank)), v=rng.standard_normal((n, rank)), sigma=sigma)
+    y = factors.reconstruct()
+    with mock.patch.object(lrap.methods, "_BLOCK_ENTRIES", block):
+        x = clamp_iterate(factors, box, np.ones(shape))
+        xt = x.T
+        assert xt.shape == x.shape[::-1]
+        assert np.array_equal(xt.toarray(), x.toarray().T)
+    assert xt.errors == x.errors and xt.violations == x.violations
+    b = rng.standard_normal((m, 3))
+    scale = 1e-12 * max(np.linalg.norm(y), 1.0) * np.linalg.norm(b)
+    assert np.linalg.norm(xt @ b - (b.T @ x).T) <= scale
+    assert np.linalg.norm(xt @ b - project_box(y, box).T @ b) <= scale
+
+
 def test_default_blocks_match_dense_references():
     """Several blocks of the default size, both box sides violated."""
     rng = np.random.default_rng(4)

@@ -296,6 +296,17 @@ class TestMainRun:
         assert capsys.readouterr().err == "error: gn takes no k\n"
         assert not (tmp_path / "out").exists()
 
+    def test_sketch_wider_than_the_target_fails_before_writing(self, tmp_path, capsys):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["problem"] = {"type": "uniform", "rows": 20, "cols": 30, "seed": 1}
+        raw["method"]["k"] = 25
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        message = "error: co-range sketch size 25 out of range for the 20x30 target: k must be at most 20\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
     def test_arpack_failure_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         # 5 r < min(m, n): svd projects by ARPACK, whose failure is a RuntimeError.
         def fail(*args, **kwargs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.linalg import solve_triangular
 
 import lrap.methods
 from lrap import (
@@ -19,12 +20,14 @@ from lrap import (
     ap_tropp_step,
     initialize,
     project_box,
+    qr_thin,
     run_experiment,
     run_method,
     svd_truncated,
     tangent_space_apply,
 )
-from lrap.methods import clamp_iterate
+from lrap.methods import _PHI, _PSI, ClampedIterate, _iteration_sketch, clamp_iterate
+from lrap.sketching import SparseSignMatrix, gen_test_matrix
 from lrap.problems import gen_uniform
 from conftest import nonnegative_rank_r
 
@@ -412,6 +415,26 @@ class TestExactProjectionPaths:
         assert_same_truncation(exact_projection(x, 5), svd_truncated(x.toarray(), 5))
         assert shapes == [(40, 40)]
 
+    @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
+    def test_lanczos_takes_one_transpose_and_no_left_product(self, shape, monkeypatch):
+        counts = {"T": 0, "__rmatmul__": 0}
+        transpose, rmatmul = ClampedIterate.T.fget, ClampedIterate.__rmatmul__
+
+        def counted_transpose(x):
+            counts["T"] += 1
+            return transpose(x)
+
+        def counted_rmatmul(x, a):
+            counts["__rmatmul__"] += 1
+            return rmatmul(x, a)
+
+        monkeypatch.setattr(ClampedIterate, "T", property(counted_transpose))
+        monkeypatch.setattr(ClampedIterate, "__rmatmul__", counted_rmatmul)
+        x = clamped(shape, 10, BOXES[1], seed=6)
+        got = exact_projection(x, 5)
+        assert counts == {"T": 1, "__rmatmul__": 0}
+        assert_same_truncation(got, svd_truncated(x.toarray(), 5))
+
     def test_traces_do_not_depend_on_the_worker_count(self, tmp_path):
         outputs = []
         for workers in (1, 2):
@@ -533,6 +556,48 @@ class TestGnIsTroppWithKEqualR:
         self.assert_same(
             run_method(start, gn, target=target)[0], run_method(start, tropp, target=target)[0]
         )
+
+
+def left_applies_through_phi(x, spec, iteration_seed):
+    """gn's (Phi X)^T Q and tropp's T^-1 P^T (Phi X), with X multiplied by all
+    l rows of Phi: the product order the engines had before they applied X
+    to Q^T Phi and P^T Phi."""
+    m, n = x.shape
+    k = spec.r if spec.method == "gn" else spec.k
+    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, k)
+    phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
+    psi, phi = (a.array if isinstance(a, SparseSignMatrix) else a for a in (psi, phi))
+    z = x @ psi
+    phi_x = phi @ x
+    if spec.method == "gn":
+        q, r_factor = qr_thin(phi @ z)
+        u = solve_triangular(r_factor.T, z.T, lower=True).T
+        return LowRankFactors(u=u, v=phi_x.T @ q)
+    q, _ = qr_thin(z)
+    p_factor, t_factor = qr_thin(phi @ q)
+    small = svd_truncated(solve_triangular(t_factor, p_factor.T @ phi_x), spec.r)
+    return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
+
+
+class TestLeftAppliesThroughTheNarrowestFactor:
+    """gn applies X to Q^T Phi (r rows) and tropp to P^T Phi (k rows), not
+    to Phi (l rows); in exact arithmetic the product order is free."""
+
+    SHAPES = {"tall": (60, 40), "wide": (40, 60)}
+
+    @pytest.mark.parametrize("sketch", [SPARSE, GAUSS], ids=["sparse", "gauss"])
+    @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    @pytest.mark.parametrize("method", ["gn", "tropp"])
+    def test_matches_the_order_through_phi(self, method, shape, box, sketch):
+        k = 8 if method == "tropp" else None
+        spec = MethodSpec(method=method, r=5, k=k, l=14, sketch=sketch, box=box)
+        target = np.random.default_rng(sum(shape)).uniform(-0.3, 1.3, shape)
+        x = clamped(shape, 5, box, seed=sum(shape))
+        for source in (x, target):
+            want = left_applies_through_phi(source, spec, 3).reconstruct()
+            got = lrap.methods.ENGINES[method].project(source, None, spec, 3).reconstruct()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestInitialize:

@@ -1,18 +1,22 @@
-"""Non-finite input is rejected at the public boundary.
+"""Non-finite input, and sizes the target cannot hold, are rejected at the public boundary.
 
 The engines validate their input once, where it enters: ``run_method``,
 ``initialize`` and the ``ap_*_step`` functions.  Inside an engine only the
 sketch applies skip the scan (``check_finite=False``); ``qr_thin``,
 ``svd_truncated``, ``LowRankFactors`` and ``project_box`` scan on every
 call.  Each public kernel must reject non-finite input when it is called
-directly, and a sparse sign sketch is checked as a dense one is.
+directly, and a sparse sign sketch is checked as a dense one is.  A rank
+above min(m, n), or a co-range sketch size k above m, is refused by the
+entry points before any projection, with the parameter named.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lrap.methods
 from lrap import (
     BoxBounds,
     IterateState,
@@ -133,3 +137,51 @@ KERNELS = {
 def test_public_kernel_rejects_nonfinite_input(kernel, bad):
     with pytest.raises(ValueError, match="non-finite"):
         KERNELS[kernel](bad)
+
+
+# A 20 x 30 target holds no rank above 20 and no range sketch X Psi wider than 20.
+RANK = "rank {} out of range for the 20x30 target: r must be at most 20"
+CO_RANGE = "co-range sketch size 25 out of range for the 20x30 target: k must be at most 20"
+UNFIT = {
+    "svd r": (MethodSpec(method="svd", r=21, s=2), RANK.format(21)),
+    "tangent r": (MethodSpec(method="tangent", r=21, s=2), RANK.format(21)),
+    "hmt r": (MethodSpec(method="hmt", r=21, k=21, s=2, sketch=SKETCH), RANK.format(21)),
+    "hmt k": (MethodSpec(method="hmt", r=5, k=25, s=2, sketch=SKETCH), CO_RANGE),
+    "tropp k": (MethodSpec(method="tropp", r=5, k=25, l=40, s=2, sketch=SKETCH), CO_RANGE),
+    "gn r": (MethodSpec(method="gn", r=25, l=30, s=2, sketch=SKETCH), RANK.format(25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT))
+class TestSizesTheTargetCannotHold:
+    @pytest.fixture(autouse=True)
+    def no_projection(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("projected before the sizes were checked")
+
+        monkeypatch.setattr(lrap.methods, "_advance", fail)
+
+    def test_initialize(self, case):
+        spec, message = UNFIT[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            initialize(gen_uniform(20, 30, 1), spec)
+
+    def test_run_method(self, case):
+        spec, message = UNFIT[case]
+        t = gen_uniform(20, 30, 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_method(svd_truncated(t, 3), spec, target=t)
+
+    def test_step(self, case):
+        spec, message = UNFIT[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            STEPS[spec.method](IterateState(svd_truncated(gen_uniform(20, 30, 1), 3)), spec)
+
+
+@pytest.mark.parametrize("method", ["hmt", "tropp"])
+def test_co_range_sketch_wider_than_a_tall_target_runs(method):
+    # k > n is harmless: X Psi is 30 x 25 and has rank at most 20.
+    t = gen_uniform(30, 20, 1)
+    spec = MethodSpec(method=method, r=5, k=25, l=40 if method == "tropp" else None, s=2, sketch=SKETCH)
+    _, trace = run_method(initialize(t, spec), spec, target=t)
+    assert len(trace) == 2
