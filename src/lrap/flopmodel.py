@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .methods import ENGINES, MethodSpec
+from .methods import ENGINES, MethodSpec, _check_fits
 
 __all__ = [
     "dominant_coefficient",
@@ -108,6 +108,8 @@ def _dims(spec: MethodSpec, m: int, n: int) -> tuple[int, int]:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
     if spec.r > min(m, n):
         raise ValueError(f"target rank {spec.r} exceeds min dimension of {m}x{n}")
+    # A run refuses k > m too (the rank passes here), so no spec that cannot run is priced.
+    _check_fits(spec, (m, n))
     # The model assumes a tall matrix; a wide problem is costed transposed.
     return (m, n) if m >= n else (n, m)
 

@@ -125,6 +125,13 @@ def _number(value, name: str, kind: type = float):
     raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
+def _string(value, name: str) -> str:
+    """A JSON string; null and every other value are rejected."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
@@ -160,7 +167,7 @@ def parse_problem(raw: dict):
         )
     if kind == "image":
         _known(raw, ("type", "path"), owner)
-        return ImageProblem(path=str(_required(raw, "path", owner)))
+        return ImageProblem(path=_string(_required(raw, "path", owner), "path"))
     if kind == "smoluchowski":
         _known(raw, ["type"] + [f.name for f in fields(SmoluchowskiSpec)], owner)
         spec = {
@@ -214,7 +221,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         method=parse_method(_required(raw, "method", "config")),
         trials=_number(raw.get("trials", 1), "trials", int),
         master_seed=_number(raw.get("master_seed", 0), "master_seed", int),
-        output_dir=str(_required(raw, "output_dir", "config")),
+        output_dir=_string(_required(raw, "output_dir", "config"), "output_dir"),
         init=str(raw.get("init", "svd")),
         workers=_number(raw.get("workers", 1), "workers", int),
     )

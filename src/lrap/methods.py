@@ -39,10 +39,15 @@ then orthonormalizes the Lanczos basis Q and takes the Rayleigh-Ritz step
 :func:`_ritz` on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.
 A fresh fixed-seed generator each call draws the start vector and every
 restart vector, so reruns and worker threads agree to the byte; an ARPACK
-failure is raised as ``LinAlgError``.  Elsewhere it forms X and truncates a
-full LAPACK SVD (:func:`svd_truncated`), which is cheaper when r is a large
-share of the shape: on uniform 256 x 256 iterates the two broke even near
-r = 0.2 n (at 512 x 512 Lanczos still led at r = 0.25 n).
+failure is raised as ``LinAlgError``.  Elsewhere it forms X and the same
+Gram densely, takes its top r eigenvectors Q from one LAPACK ``eigh`` and
+ends in the same Ritz step, which is cheaper when r is a large share of the
+shape.  The Gram squares X's condition number, so where its r-th eigenvalue
+is at most ``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <=
+1e-3, a rank-deficient or zero X included) that path truncates a full LAPACK
+SVD of X instead (:func:`svd_truncated`).  On clamped uniform iterates at one
+BLAS thread, Lanczos and the Gram path broke even near r = 48 at 256 x 256
+and near r = 115 at 512 x 512, where the rule switches at r = 52 and 103.
 """
 
 from __future__ import annotations
@@ -93,6 +98,10 @@ _RETRY = 2**31
 # Entries per block of the clamp pass: a block of Y, its difference from the
 # target and its mask stay in cache between the operations on them.
 _BLOCK_ENTRIES = 1 << 15
+
+# The exact projection's dense path trusts the Gram's top r eigenvectors
+# only where lambda_r > _GRAM_FLOOR lambda_1, that is sigma_r / sigma_1 > 1e-3.
+_GRAM_FLOOR = 1e-6
 
 
 class SketchCollapseError(np.linalg.LinAlgError):
@@ -337,16 +346,25 @@ def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
 
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
-    if 5 * r >= min(x.shape):
-        # With r this large a share of the shape, a full dense SVD is cheaper.
+    m, n = x.shape
+    if 5 * r >= min(m, n):
+        # With r this large a share of the shape, one dense eigendecomposition
+        # of the shorter side's Gram, X X^T for a wide X and X^T X otherwise,
+        # beats a full SVD of X, and Lanczos past the module docstring's crossovers.
         if isinstance(x, ClampedIterate):
             x = x.toarray()
-        return svd_truncated(x, r)
-    # Lanczos on the Gram matrix of the shorter side, X X^T for a wide X and
-    # X^T X otherwise, through the products of X; this branch alone loads ARPACK.
+        values, vectors = np.linalg.eigh(x @ x.T if m < n else x.T @ x)
+        # The Gram squares X's condition number: where sigma_r / sigma_1 is
+        # 1e-3 or less its top r eigenvectors may miss the truncation, so
+        # the full SVD of X is taken (a rank-deficient X included).
+        if values[-r] <= _GRAM_FLOOR * values[-1]:
+            return svd_truncated(x, r)
+        q = vectors[:, -r:][:, ::-1]
+        return _ritz((x.T @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
+    # Lanczos on the Gram matrix of the shorter side through the products of
+    # X; this branch alone loads ARPACK.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    m, n = x.shape
     # Taken once: every product below is then X B or X^T B, a CSR product
     # for the correction, and none is the slower dense-CSR A C.
     xt = x.T

@@ -110,6 +110,16 @@ class TestMainFlops:
         assert captured.err.startswith("error: target rank 500")
 
 
+    def test_sketch_wider_than_the_rows_prints_no_table(self, capsys):
+        # `lrap run` refuses this spec, so `lrap flops` does not price it.
+        code = main(["flops", "--size", "10x10", "--rank", "3", "--spec", "hmt(0,20)"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "error: co-range sketch size 20 out of range for the 10x10 target: k must be at most 10\n"
+        assert captured.err == message
+
+
 class TestMainRun:
     def config_file(self, tmp_path, out_dir):
         raw = {
@@ -254,6 +264,16 @@ class TestMainRun:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_null_output_dir_fails_before_writing(self, tmp_path, capsys, monkeypatch):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["output_dir"] = None
+        path.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: output_dir must be a string, got None\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_zero_workers_fails_before_writing(self, tmp_path, capsys):
         config = self.config_file(tmp_path, tmp_path / "out")
         assert main(["run", str(config), "--workers", "0"]) == 1
@@ -365,6 +385,13 @@ class TestMainSpectrum:
         code = main(["spectrum", problem, "--count", "3", "--output", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_null_image_path_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["spectrum", '{"type": "image", "path": null}', "--count", "3", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: path must be a string, got None\n"
+        assert not out.exists()
 
     def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
         problem = '{"type": "smoluchowski", "node": 8}'

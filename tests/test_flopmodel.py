@@ -52,6 +52,19 @@ class TestPerIteration:
         with pytest.raises(ValueError, match="exceeds"):
             flops_per_iteration(MethodSpec(method="svd", r=64), 32, 32)
 
+    def test_co_range_sketch_wider_than_the_rows_rejected(self):
+        # A run's range sketch X Psi is m x k, so k <= m, as run_method checks;
+        # k > n is harmless, and a wide problem is checked before it is transposed.
+        spec = MethodSpec(method="hmt", r=3, k=20, sketch=GAUSS)
+        for cost in (flops_per_iteration, flops_init):
+            for shape in ((10, 10), (10, 30)):
+                with pytest.raises(ValueError, match=r"^co-range sketch size 20 .* at most 10$"):
+                    cost(spec, *shape)
+        assert flops_per_iteration(spec, 30, 10) > 0
+        tropp = MethodSpec(method="tropp", r=3, k=20, l=25, sketch=SPARSE)
+        with pytest.raises(ValueError, match="co-range sketch size 20"):
+            flops_per_iteration(tropp, 10, 10)
+
     def test_empty_shape_rejected(self):
         with pytest.raises(ValueError, match="shape must be positive, got 0x8"):
             flops_per_iteration(MethodSpec(method="svd", r=1), 0, 8)

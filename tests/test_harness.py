@@ -185,6 +185,22 @@ class TestParsing:
     def test_bundled_config_parses(self, path):
         assert load_config(path).method.s > 0
 
+    @pytest.mark.parametrize("value", [None, 5, ["out"]], ids=["null", "number", "list"])
+    def test_non_string_output_dir_rejected(self, value):
+        raw = {
+            "problem": {"type": "uniform", "rows": 2, "cols": 2},
+            "method": {"name": "svd", "r": 1},
+            "output_dir": value,
+        }
+        with pytest.raises(ValueError) as info:
+            parse_config(raw)
+        assert str(info.value) == f"output_dir must be a string, got {value!r}"
+
+    @pytest.mark.parametrize("value", [None, 5], ids=["null", "number"])
+    def test_non_string_image_path_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^path must be a string, got {value!r}$"):
+            parse_problem({"type": "image", "path": value})
+
     def test_config_missing_key(self):
         with pytest.raises(ValueError, match="missing required key"):
             parse_config({"problem": {"type": "uniform", "rows": 2, "cols": 2}})

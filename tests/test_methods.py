@@ -302,6 +302,11 @@ class TestRandomizedDetails:
                 "svd", ap_svd_step, (30, 20), scipy.sparse.linalg, "eigsh",
                 scipy.sparse.linalg.ArpackError(-9), id="svd-krylov-arpack-error",
             ),
+            # 5 r >= min(m, n): the dense path's eigendecomposition of the Gram.
+            pytest.param(
+                "svd", ap_svd_step, (12, 10), np.linalg, "eigh",
+                np.linalg.LinAlgError("Eigenvalues did not converge"), id="svd-dense-eigh",
+            ),
         ],
     )
     def test_unsketched_linalg_error_propagates_unretried(
@@ -338,6 +343,24 @@ def clamped(shape, r, box, seed):
     return x
 
 
+DENSE_SHAPES = {"tall": (60, 40), "wide": (40, 60)}
+
+
+def record_exact_projection_calls(monkeypatch):
+    """Record the exact projection's ``eigsh`` calls, the shapes of its
+    ``np.linalg.eigh`` arguments, and the shapes its ``svd_truncated`` takes."""
+    lanczos, grams, cores = [], [], []
+    eigsh, eigh, truncate = scipy.sparse.linalg.eigsh, np.linalg.eigh, lrap.methods.svd_truncated
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigsh", lambda *a, **k: lanczos.append(a) or eigsh(*a, **k)
+    )
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a.shape) or eigh(a))
+    monkeypatch.setattr(
+        lrap.methods, "svd_truncated", lambda a, r: cores.append(np.shape(a)) or truncate(a, r)
+    )
+    return lanczos, grams, cores
+
+
 def assert_same_truncation(got, want):
     r = want.rank
     assert np.abs(got.sigma - want.sigma).max() <= 1e-13 * want.sigma[0]
@@ -350,7 +373,8 @@ def assert_same_truncation(got, want):
 
 class TestExactProjectionPaths:
     """``svd``'s projection runs Lanczos (ARPACK) on the products of X where
-    5 r < min(m, n), and a full LAPACK SVD of the dense X elsewhere."""
+    5 r < min(m, n), and one dense eigendecomposition of the shorter side's
+    Gram elsewhere, or a full LAPACK SVD of X where sigma_r / sigma_1 <= 1e-3."""
 
     @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
     @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
@@ -389,20 +413,45 @@ class TestExactProjectionPaths:
                 assert np.array_equal(getattr(again, name), getattr(first, name))
 
     def test_dense_at_the_boundary_of_the_rule(self, monkeypatch):
-        calls = []
-        original = scipy.sparse.linalg.eigsh
-        monkeypatch.setattr(
-            scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append(a) or original(*a, **k)
-        )
+        lanczos, grams, cores = record_exact_projection_calls(monkeypatch)
         x = clamped((50, 40), 16, BOXES[0], seed=4)
-        # 5 r == min(m, n): the dense path, bit for bit.
-        got, want = exact_projection(x, 8), svd_truncated(x.toarray(), 8)
+        want = svd_truncated(x.toarray(), 8)
+        # 5 r == min(m, n): the dense path, one eigendecomposition of the
+        # 40 x 40 Gram and the Ritz step on the 50 x 8 X Q.
+        got = exact_projection(x, 8)
+        assert_same_truncation(got, want)
+        assert (lanczos, grams, cores) == ([], [(40, 40)], [(50, 8)])
+        again = exact_projection(x, 8)
         for name in ("u", "v", "sigma"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert calls == []
+            assert np.array_equal(getattr(again, name), getattr(got, name))
         # One rank less: the Krylov path.
+        grams.clear()
         assert_same_truncation(exact_projection(x, 7), svd_truncated(x.toarray(), 7))
-        assert len(calls) == 1
+        assert len(lanczos) == 1 and grams == []
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES.values(), ids=DENSE_SHAPES.keys())
+    def test_dense_path_eigendecomposes_the_shorter_sides_gram(self, shape, monkeypatch):
+        lanczos, grams, cores = record_exact_projection_calls(monkeypatch)
+        x = clamped(shape, 16, BOXES[1], seed=7)
+        want = svd_truncated(x.toarray(), 8)
+        assert_same_truncation(exact_projection(x, 8), want)
+        core = (8, 60) if shape[0] < shape[1] else (60, 8)
+        assert (lanczos, grams, cores) == ([], [(40, 40)], [core])
+
+    @pytest.mark.parametrize("case", ["steep", "rank2"])
+    def test_ill_conditioned_input_takes_the_full_svd(self, case, monkeypatch):
+        if case == "steep":
+            # sigma_30 / sigma_1 = 1e-7: the Gram's 30th eigenvalue sits near
+            # its rounding, and its eigenvectors would miss the truncation.
+            rng = np.random.default_rng(8)
+            u, v = (qr_thin(rng.standard_normal((100, 100)))[0] for _ in range(2))
+            x, r = (u * 10.0 ** (-7.0 * np.arange(100) / 29)) @ v.T, 30
+        else:
+            x, r = nonnegative_rank_r(40, 40, 2, seed=9), 8
+        lanczos, grams, cores = record_exact_projection_calls(monkeypatch)
+        got = exact_projection(x, r)
+        assert (lanczos, grams, cores) == ([], [x.shape], [x.shape])
+        assert_same_truncation(got, svd_truncated(x, r))
 
     def test_wide_input_runs_lanczos_on_the_shorter_side(self, monkeypatch):
         shapes = []
@@ -436,22 +485,24 @@ class TestExactProjectionPaths:
         assert_same_truncation(got, svd_truncated(x.toarray(), 5))
 
     def test_traces_do_not_depend_on_the_worker_count(self, tmp_path):
-        outputs = []
-        for workers in (1, 2):
-            out = tmp_path / f"workers{workers}"
-            run_experiment(
-                ExperimentConfig(
-                    problem=UniformProblem(rows=60, cols=50, seed=2),
-                    method=MethodSpec(method="svd", r=4, s=4),
-                    trials=3,
-                    master_seed=7,
-                    output_dir=str(out),
-                    workers=workers,
+        # r = 4 runs Lanczos, r = 10 (5 r == 50) the dense path.
+        for r in (4, 10):
+            outputs = []
+            for workers in (1, 2):
+                out = tmp_path / f"rank{r}-workers{workers}"
+                run_experiment(
+                    ExperimentConfig(
+                        problem=UniformProblem(rows=60, cols=50, seed=2),
+                        method=MethodSpec(method="svd", r=r, s=4),
+                        trials=3,
+                        master_seed=7,
+                        output_dir=str(out),
+                        workers=workers,
+                    )
                 )
-            )
-            outputs.append(out)
-        for name in ("trial_0.csv", "trial_1.csv", "trial_2.csv", "mean.csv", "summary.json"):
-            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+                outputs.append(out)
+            for name in ("trial_0.csv", "trial_1.csv", "trial_2.csv", "mean.csv", "summary.json"):
+                assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
 class TestRunMethod:
@@ -604,13 +655,10 @@ class TestInitialize:
     def test_deterministic_methods_use_truncated_svd(self):
         a = gen_uniform(30, 30, 14)
         for method in ("svd", "tangent"):
-            # 5 r >= min(m, n): the dense path, bit for bit the LAPACK truncation.
-            f = initialize(a, MethodSpec(method=method, r=6))
-            assert np.array_equal(f.reconstruct(), svd_truncated(a, 6).reconstruct())
-            # 5 r < min(m, n): the Krylov path, the same truncation to rounding.
-            f = initialize(a, MethodSpec(method=method, r=5))
-            want = svd_truncated(a, 5).reconstruct()
-            assert np.linalg.norm(f.reconstruct() - want) <= 1e-12 * np.linalg.norm(want)
+            # 5 r >= min(m, n), the dense path, and 5 r < min(m, n), the Krylov
+            # path: each the LAPACK truncation to rounding.
+            for r in (6, 5):
+                assert_same_truncation(initialize(a, MethodSpec(method=method, r=r)), svd_truncated(a, r))
 
     def test_randomized_initialization_reproducible(self):
         a = gen_uniform(30, 30, 15)
