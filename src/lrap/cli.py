@@ -36,7 +36,7 @@ from .sketching import SketchSpec
 
 __all__ = ["main", "parse_method_string", "print_flop_table"]
 
-_METHOD_RE = re.compile(rf"^({'|'.join(ENGINES)})(?:\(([^)]*)\))?$")
+_METHOD_RE = re.compile(rf"^({'|'.join(ENGINES)})(?:\((\s*\d+\s*(?:,\s*\d+\s*)*)?\))?$")
 _SKETCH_RE = re.compile(r"^(gauss|gaussian|rad|rademacher)(?:\(([^)]*)\))?$")
 
 
@@ -64,7 +64,10 @@ def parse_method_string(text: str, rank: int) -> MethodSpec:
             kind = "gaussian"
         else:
             kind = "rademacher" if density_text is None else "sparse"
-        density = 1.0 if density_text is None else float(density_text)
+        try:
+            density = 1.0 if density_text is None else float(density_text)
+        except ValueError:
+            raise ValueError(f"cannot parse sketch spec {sketch_part!r}") from None
         sketch = SketchSpec(kind=kind, density=density)
     elif ENGINES[name].sketched:
         sketch = SketchSpec(kind="gaussian")

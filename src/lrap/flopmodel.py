@@ -106,9 +106,7 @@ def _iteration_terms(spec: MethodSpec, m: int, n: int):
 def _dims(spec: MethodSpec, m: int, n: int) -> tuple[int, int]:
     if m < 1 or n < 1:
         raise ValueError(f"matrix shape must be positive, got {m}x{n}")
-    if spec.r > min(m, n):
-        raise ValueError(f"target rank {spec.r} exceeds min dimension of {m}x{n}")
-    # A run refuses k > m too (the rank passes here), so no spec that cannot run is priced.
+    # A run's own size checks, so that no spec that cannot run is priced.
     _check_fits(spec, (m, n))
     # The model assumes a tall matrix; a wide problem is costed transposed.
     return (m, n) if m >= n else (n, m)

@@ -118,10 +118,13 @@ class ExperimentConfig:
 
 
 def _number(value, name: str, kind: type = float):
-    """A JSON number as ``kind``; booleans, strings and non-integral ints are rejected."""
+    """A JSON number as ``kind``; booleans, strings, non-integral and overflowing ints are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind is float or isinstance(value, int) or value.is_integer():
-            return kind(value)
+            try:
+                return kind(value)
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
     raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 

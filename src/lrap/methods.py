@@ -28,23 +28,24 @@ Y finds that correction and the iteration's metrics; the engines use X only
 through the products ``X @ B`` and ``A @ X``, and, on ``svd``'s Lanczos
 path, ``X.T @ B`` through the transposed iterate :attr:`ClampedIterate.T`.
 Each product is taken in the order that multiplies X by the narrowest
-factor: ``gn`` forms (Phi X)^T Q as ((Q^T Phi) X)^T and ``tropp`` forms
-P^T (Phi X) as (P^T Phi) X, so X meets r or k sketch rows, not l.
+factor.  ``tropp`` and ``gn`` share one Phi step, :func:`_phi_side`, which
+forms Q^T (Phi X) as (Q^T Phi) X, so X meets k or r rows, not l; ``tropp``
+hands it the orthonormal basis of X Psi, ``gn`` X Psi itself.
 
 ``svd``'s exact projection, which also starts ``svd`` and ``tangent``, takes
 one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
 ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix of the shorter
 side, X X^T for a wide X and X^T X otherwise, as X (X^T B) or X^T (X B),
-then orthonormalizes the Lanczos basis Q and takes the Rayleigh-Ritz step
-:func:`_ritz` on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.
-A fresh fixed-seed generator each call draws the start vector and every
-restart vector, so reruns and worker threads agree to the byte; an ARPACK
-failure is raised as ``LinAlgError``.  Elsewhere it forms X and the same
-Gram densely, takes its top r eigenvectors Q from one LAPACK ``eigh`` and
-ends in the same Ritz step, which is cheaper when r is a large share of the
-shape.  The Gram squares X's condition number, so where its r-th eigenvalue
-is at most ``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <=
-1e-3, a rank-deficient or zero X included) that path truncates a full LAPACK
+and orthonormalizes the Lanczos basis Q.  A fresh fixed-seed generator each
+call draws the start vector and every restart vector, so reruns and worker
+threads agree to the byte; an ARPACK failure is raised as ``LinAlgError``.
+Elsewhere it forms X and the same Gram densely and takes its top r
+eigenvectors Q from one LAPACK ``eigh``, which is cheaper when r is a large
+share of the shape.  Both paths end in one Rayleigh-Ritz step :func:`_ritz`
+on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.  The Gram
+squares X's condition number, so where its r-th eigenvalue is at most
+``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <= 1e-3, a
+rank-deficient or zero X included) the dense path truncates a full LAPACK
 SVD of X instead (:func:`svd_truncated`).  On clamped uniform iterates at one
 BLAS thread, Lanczos and the Gram path broke even near r = 48 at 256 x 256
 and near r = 115 at 512 x 512, where the rule switches at r = 52 and 103.
@@ -99,8 +100,9 @@ _RETRY = 2**31
 # target and its mask stay in cache between the operations on them.
 _BLOCK_ENTRIES = 1 << 15
 
-# The exact projection's dense path trusts the Gram's top r eigenvectors
-# only where lambda_r > _GRAM_FLOOR lambda_1, that is sigma_r / sigma_1 > 1e-3.
+# The Gram squares X's condition number, so the exact projection's dense path
+# trusts its top r eigenvectors only where lambda_r > _GRAM_FLOOR lambda_1,
+# that is sigma_r / sigma_1 > 1e-3, and else takes the full SVD of X.
 _GRAM_FLOOR = 1e-6
 
 
@@ -347,40 +349,30 @@ def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
     m, n = x.shape
-    if 5 * r >= min(m, n):
-        # With r this large a share of the shape, one dense eigendecomposition
-        # of the shorter side's Gram, X X^T for a wide X and X^T X otherwise,
-        # beats a full SVD of X, and Lanczos past the module docstring's crossovers.
-        if isinstance(x, ClampedIterate):
-            x = x.toarray()
-        values, vectors = np.linalg.eigh(x @ x.T if m < n else x.T @ x)
-        # The Gram squares X's condition number: where sigma_r / sigma_1 is
-        # 1e-3 or less its top r eigenvectors may miss the truncation, so
-        # the full SVD of X is taken (a rank-deficient X included).
+    dense = 5 * r >= min(m, n)  # the module docstring's rule and its crossovers
+    if dense and isinstance(x, ClampedIterate):
+        x = x.toarray()
+    # Taken once, so that Lanczos's products are X B or X^T B, none the slow dense-CSR A C.
+    xt = x.T
+    if dense:
+        values, vectors = np.linalg.eigh(x @ xt if m < n else xt @ x)
         if values[-r] <= _GRAM_FLOOR * values[-1]:
             return svd_truncated(x, r)
         q = vectors[:, -r:][:, ::-1]
-        return _ritz((x.T @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
-    # Lanczos on the Gram matrix of the shorter side through the products of
-    # X; this branch alone loads ARPACK.
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    else:
+        # Lanczos on the same Gram through the products of X; only this branch loads ARPACK.
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    # Taken once: every product below is then X B or X^T B, a CSR product
-    # for the correction, and none is the slower dense-CSR A C.
-    xt = x.T
+        def gram(b):
+            return x @ (xt @ b) if m < n else xt @ (x @ b)
 
-    def gram(b):
-        return x @ (xt @ b) if m < n else xt @ (x @ b)
-
-    operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
-    try:
-        # A fresh generator per call draws the same start and restart vectors every time.
-        _, basis = eigsh(operator, k=r, tol=0, rng=np.random.default_rng(0))
-    except ArpackError as err:  # ArpackNoConvergence included
-        raise np.linalg.LinAlgError(str(err)) from err
-    # X ~ Q (Q^T X) for an orthonormal basis Q of the left Ritz vectors, and
-    # X ~ (X Q) Q^T for one of the right.
-    q, _ = qr_thin(basis)
+        operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
+        try:
+            _, basis = eigsh(operator, k=r, tol=0, rng=np.random.default_rng(0))
+        except ArpackError as err:  # ArpackNoConvergence included
+            raise np.linalg.LinAlgError(str(err)) from err
+        q, _ = qr_thin(basis)
+    # X ~ Q (Q^T X) for orthonormal left Ritz vectors Q, and X ~ (X Q) Q^T for right ones.
     return _ritz((xt @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
 
 
@@ -406,9 +398,17 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     return _ritz(z, min(spec.r, z.shape[0]), left=np.hstack([u, q2]), right=np.hstack([v, q1]))
 
 
+def _phi_side(x, basis, spec: MethodSpec, iteration_seed: int):
+    """The Phi step of ``tropp`` and ``gn``: T and Q^T Phi X, for the QR Q T of Phi ``basis``."""
+    phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, x.shape[0])
+    q, t_factor = qr_thin(apply_sketch_left(phi, basis, check_finite=False))
+    # Q^T (Phi X) as (Q^T Phi) X: X meets as many rows as the basis has columns, not l.
+    qt_phi = apply_sketch_right(q.T, phi, check_finite=False)
+    return t_factor, apply_sketch_left(qt_phi, x, check_finite=False)
+
+
 def _project_hmt(x, factors, spec: MethodSpec, iteration_seed: int):
-    n = x.shape[1]
-    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
+    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), x.shape[1], spec.k)
     # Only the orthonormal bases are used, so a rank-deficient sketch is harmless.
     q, _ = qr_thin(apply_sketch_right(x, psi, check_finite=False))
     for _ in range(spec.p):
@@ -418,32 +418,20 @@ def _project_hmt(x, factors, spec: MethodSpec, iteration_seed: int):
 
 
 def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
-    m, n = x.shape
-    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.k)
-    phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
-    z = apply_sketch_right(x, psi, check_finite=False)
-    q, _ = qr_thin(z)
-    w = apply_sketch_left(phi, q, check_finite=False)
-    p_factor, t_factor = qr_thin(w)
-    # P^T (Phi X) as (P^T Phi) X: X meets k rows, not l.
-    pt_phi = apply_sketch_right(p_factor.T, phi, check_finite=False)
-    g = solve_triangular(t_factor, apply_sketch_left(pt_phi, x, check_finite=False))
-    return _ritz(g, spec.r, left=q)
+    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), x.shape[1], spec.k)
+    q, _ = qr_thin(apply_sketch_right(x, psi, check_finite=False))
+    t_factor, pt_phi_x = _phi_side(x, q, spec, iteration_seed)
+    return _ritz(solve_triangular(t_factor, pt_phi_x), spec.r, left=q)
 
 
 def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
-    m, n = x.shape
-    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), n, spec.r)
-    phi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PHI), spec.l, m)
+    psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), x.shape[1], spec.r)
     z = apply_sketch_right(x, psi, check_finite=False)
-    w = apply_sketch_left(phi, z, check_finite=False)
-    q, r_factor = qr_thin(w)
-    # Solved first, so that a collapsed sketch wastes no left apply of X.
+    # tropp(r, l) with Z = X Psi itself in place of its orthonormal basis, and
+    # no truncation: X ~ Z (Phi Z)^+ Phi X = (Z R^-1) (Q^T Phi X).
+    r_factor, qt_phi_x = _phi_side(x, z, spec, iteration_seed)
     u = solve_triangular(r_factor.T, z.T, lower=True).T
-    # (Phi X)^T Q as ((Q^T Phi) X)^T: X meets r rows, not l.
-    qt_phi = apply_sketch_right(q.T, phi, check_finite=False)
-    v = apply_sketch_left(qt_phi, x, check_finite=False).T
-    return LowRankFactors(u=u, v=v, sigma=None)
+    return LowRankFactors(u=u, v=qt_phi_x.T, sigma=None)
 
 
 class Engine(NamedTuple):
@@ -494,8 +482,8 @@ def _advance(x, factors, spec: MethodSpec, iteration_seed: int) -> LowRankFactor
 def _check_fits(spec: MethodSpec, shape: tuple[int, int]) -> None:
     """Refuse a rank or co-range sketch size that an m x n target cannot hold.
 
-    r <= min(m, n) for every engine, and k <= m for the engines that take a
-    k, whose range sketch X Psi is m x k; k > n is harmless there.
+    r <= min(m, n) for every engine, k <= m for those that take a k, whose X Psi
+    is m x k, and k <= n too where power iterations QR-factor the n x k (Q^T X)^T.
     """
     m, n = shape
     where = f"out of range for the {m}x{n} target"
@@ -503,6 +491,8 @@ def _check_fits(spec: MethodSpec, shape: tuple[int, int]) -> None:
         raise ValueError(f"rank {spec.r} {where}: r must be at most {min(m, n)}")
     if spec.k is not None and spec.k > m:
         raise ValueError(f"co-range sketch size {spec.k} {where}: k must be at most {m}")
+    if spec.p and spec.k > n:
+        raise ValueError(f"co-range sketch size {spec.k} {where}: k must be at most {n} when p = {spec.p}")
 
 
 def _step(method: str, state: IterateState, spec: MethodSpec, iteration_seed: int):

@@ -46,6 +46,10 @@ class SmoluchowskiSpec:
     origin: float = 0.0
 
     def __post_init__(self):
+        # NaN passes every comparison below, and JSON's NaN and Infinity reach here.
+        for name in ("kernel_constant", "rate_a", "rate_b", "time", "step", "origin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kernel_constant <= 0 or self.rate_a <= 0 or self.rate_b <= 0:
             raise ValueError("kernel constant and rate parameters must be positive")
         if self.time < 0:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -41,6 +42,18 @@ class TestParseMethodString:
         for bad in bad_specs:
             with pytest.raises(ValueError):
                 parse_method_string(bad, rank=4)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hmt(0,7.5)", "cannot parse method spec 'hmt(0,7.5)'"),
+            ("gn(x)", "cannot parse method spec 'gn(x)'"),
+            ("hmt(0,70):rad(abc)", "cannot parse sketch spec 'rad(abc)'"),
+        ],
+    )
+    def test_non_numeric_argument_names_the_spec(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_method_string(text, rank=4)
 
 
 class TestFlopTable:
@@ -107,7 +120,7 @@ class TestMainFlops:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: target rank 500")
+        assert captured.err == "error: rank 500 out of range for the 100x200 target: r must be at most 100\n"
 
 
     def test_sketch_wider_than_the_rows_prints_no_table(self, capsys):
@@ -327,6 +340,17 @@ class TestMainRun:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
 
+    def test_power_iterations_wider_than_the_columns_fail_before_writing(self, tmp_path, capsys):
+        path = self.config_file(tmp_path, tmp_path / "out")
+        raw = json.loads(path.read_text())
+        raw["problem"] = {"type": "uniform", "rows": 30, "cols": 20, "seed": 1}
+        raw["method"].update(r=5, k=25, p=1)
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 1
+        message = "co-range sketch size 25 out of range for the 30x20 target: k must be at most 20 when p = 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_arpack_failure_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         # 5 r < min(m, n): svd projects by ARPACK, whose failure is a RuntimeError.
         def fail(*args, **kwargs):
@@ -373,6 +397,22 @@ class TestMainSpectrum:
         )
         assert code == 1
         assert "nodes must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")  # the target is never built
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"time": 1' + "0" * 400, "time is too large for a float"),
+            ('"step": Infinity', "step must be finite, got inf"),
+        ],
+        ids=["overflowing-int", "infinity"],
+    )
+    def test_unusable_number_fails_cleanly(self, tmp_path, capsys, field, message):
+        out = tmp_path / "x.csv"
+        problem = '{"type": "smoluchowski", "nodes": 8, %s}' % field
+        assert main(["spectrum", problem, "--count", "2", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "problem, message",

@@ -49,7 +49,8 @@ class TestPerIteration:
             MethodSpec(method="svd", r=4, sketch=GAUSS)
 
     def test_rank_larger_than_matrix_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        # The model refuses a rank with the message a run gives.
+        with pytest.raises(ValueError, match=r"^rank 64 out of range for the 32x32 target: r must be at most 32$"):
             flops_per_iteration(MethodSpec(method="svd", r=64), 32, 32)
 
     def test_co_range_sketch_wider_than_the_rows_rejected(self):
@@ -64,6 +65,15 @@ class TestPerIteration:
         tropp = MethodSpec(method="tropp", r=3, k=20, l=25, sketch=SPARSE)
         with pytest.raises(ValueError, match="co-range sketch size 20"):
             flops_per_iteration(tropp, 10, 10)
+
+    def test_power_iterations_wider_than_the_columns_rejected(self):
+        # A power iteration QR-factors the n x k (Q^T X)^T, which a run refuses for k > n.
+        message = r"^co-range sketch size 25 out of range for the 30x20 target: k must be at most 20 when p = 1$"
+        spec = MethodSpec(method="hmt", r=5, k=25, p=1, sketch=GAUSS)
+        for cost in (flops_per_iteration, flops_init):
+            with pytest.raises(ValueError, match=message):
+                cost(spec, 30, 20)
+        assert flops_per_iteration(MethodSpec(method="hmt", r=5, k=25, sketch=GAUSS), 30, 20) > 0
 
     def test_empty_shape_rejected(self):
         with pytest.raises(ValueError, match="shape must be positive, got 0x8"):

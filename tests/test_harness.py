@@ -76,6 +76,7 @@ class TestParsing:
             ({"type": "uniform", "rows": 4.7, "cols": 5}, "rows"),
             ({"type": "uniform", "rows": 4, "cols": "5"}, "cols"),
             ({"type": "uniform", "rows": 4, "cols": 5, "seed": 1.5}, "seed"),
+            ({"type": "smoluchowski", "time": 10**400}, "time"),
         ],
     )
     def test_malformed_problem_numbers_rejected(self, raw, field):

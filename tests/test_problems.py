@@ -157,6 +157,13 @@ class TestSmoluchowski:
         with pytest.raises(ValueError, match="grid origin"):
             SmoluchowskiSpec(origin=-0.1)
 
+    # NaN passes the range checks' comparisons; JSON's NaN and Infinity reach the spec.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["kernel_constant", "rate_a", "rate_b", "time", "step", "origin"])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SmoluchowskiSpec(**{field: value})
+
 
 class TestLoadImagePgm:
     def test_p2_normalization(self, tmp_path):

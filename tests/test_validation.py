@@ -139,16 +139,20 @@ def test_public_kernel_rejects_nonfinite_input(kernel, bad):
         KERNELS[kernel](bad)
 
 
-# A 20 x 30 target holds no rank above 20 and no range sketch X Psi wider than 20.
+# A 20 x 30 target holds no rank above 20 and no range sketch X Psi wider than
+# 20; a 30 x 20 one no power iteration's (Q^T X)^T wider than 20.
+WIDE, TALL = (20, 30), (30, 20)
 RANK = "rank {} out of range for the 20x30 target: r must be at most 20"
 CO_RANGE = "co-range sketch size 25 out of range for the 20x30 target: k must be at most 20"
+POWER = "co-range sketch size 25 out of range for the 30x20 target: k must be at most 20 when p = 1"
 UNFIT = {
-    "svd r": (MethodSpec(method="svd", r=21, s=2), RANK.format(21)),
-    "tangent r": (MethodSpec(method="tangent", r=21, s=2), RANK.format(21)),
-    "hmt r": (MethodSpec(method="hmt", r=21, k=21, s=2, sketch=SKETCH), RANK.format(21)),
-    "hmt k": (MethodSpec(method="hmt", r=5, k=25, s=2, sketch=SKETCH), CO_RANGE),
-    "tropp k": (MethodSpec(method="tropp", r=5, k=25, l=40, s=2, sketch=SKETCH), CO_RANGE),
-    "gn r": (MethodSpec(method="gn", r=25, l=30, s=2, sketch=SKETCH), RANK.format(25)),
+    "svd r": (MethodSpec(method="svd", r=21, s=2), RANK.format(21), WIDE),
+    "tangent r": (MethodSpec(method="tangent", r=21, s=2), RANK.format(21), WIDE),
+    "hmt r": (MethodSpec(method="hmt", r=21, k=21, s=2, sketch=SKETCH), RANK.format(21), WIDE),
+    "hmt k": (MethodSpec(method="hmt", r=5, k=25, s=2, sketch=SKETCH), CO_RANGE, WIDE),
+    "tropp k": (MethodSpec(method="tropp", r=5, k=25, l=40, s=2, sketch=SKETCH), CO_RANGE, WIDE),
+    "gn r": (MethodSpec(method="gn", r=25, l=30, s=2, sketch=SKETCH), RANK.format(25), WIDE),
+    "hmt power k": (MethodSpec(method="hmt", r=5, k=25, p=1, s=2, sketch=SKETCH), POWER, TALL),
 }
 
 
@@ -162,25 +166,25 @@ class TestSizesTheTargetCannotHold:
         monkeypatch.setattr(lrap.methods, "_advance", fail)
 
     def test_initialize(self, case):
-        spec, message = UNFIT[case]
+        spec, message, shape = UNFIT[case]
         with pytest.raises(ValueError, match=re.escape(message)):
-            initialize(gen_uniform(20, 30, 1), spec)
+            initialize(gen_uniform(*shape, 1), spec)
 
     def test_run_method(self, case):
-        spec, message = UNFIT[case]
-        t = gen_uniform(20, 30, 1)
+        spec, message, shape = UNFIT[case]
+        t = gen_uniform(*shape, 1)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_method(svd_truncated(t, 3), spec, target=t)
 
     def test_step(self, case):
-        spec, message = UNFIT[case]
+        spec, message, shape = UNFIT[case]
         with pytest.raises(ValueError, match=re.escape(message)):
-            STEPS[spec.method](IterateState(svd_truncated(gen_uniform(20, 30, 1), 3)), spec)
+            STEPS[spec.method](IterateState(svd_truncated(gen_uniform(*shape, 1), 3)), spec)
 
 
 @pytest.mark.parametrize("method", ["hmt", "tropp"])
 def test_co_range_sketch_wider_than_a_tall_target_runs(method):
-    # k > n is harmless: X Psi is 30 x 25 and has rank at most 20.
+    # Without power iterations k > n is harmless: X Psi is 30 x 25 and has rank at most 20.
     t = gen_uniform(30, 20, 1)
     spec = MethodSpec(method=method, r=5, k=25, l=40 if method == "tropp" else None, s=2, sketch=SKETCH)
     _, trace = run_method(initialize(t, spec), spec, target=t)
