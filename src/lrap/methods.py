@@ -36,19 +36,25 @@ hands it the orthonormal basis of X Psi, ``gn`` X Psi itself.
 one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
 ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix of the shorter
 side, X X^T for a wide X and X^T X otherwise, as X (X^T B) or X^T (X B),
-and orthonormalizes the Lanczos basis Q.  A fresh fixed-seed generator each
-call draws the start vector and every restart vector, so reruns and worker
-threads agree to the byte; an ARPACK failure is raised as ``LinAlgError``.
-Elsewhere it forms X and the same Gram densely and takes its top r
-eigenvectors Q from one LAPACK ``eigh``, which is cheaper when r is a large
-share of the shape.  Both paths end in one Rayleigh-Ritz step :func:`_ritz`
-on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.  The Gram
-squares X's condition number, so where its r-th eigenvalue is at most
-``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <= 1e-3, a
-rank-deficient or zero X included) the dense path truncates a full LAPACK
-SVD of X instead (:func:`svd_truncated`).  On clamped uniform iterates at one
-BLAS thread, Lanczos and the Gram path broke even near r = 48 at 256 x 256
-and near r = 115 at 512 x 512, where the rule switches at r = 52 and 103.
+and orthonormalizes the Lanczos basis Q.  Restarted Lanczos converges at a
+rate set by X's r-th gap, so where the previous iterate Y bounds that gap
+the basis holds r + max(5, r // 8) vectors (:func:`_lanczos_width`): Y has
+sigma and numerical rank r, and ||C||_F <= sigma_r(Y) / 4, so by Weyl
+sigma_{r+1}(X) / sigma_r(X) <= 1/3.  Elsewhere, the dense target of a start
+included, it holds SciPy's default max(2 r + 1, 20).  A fresh fixed-seed
+generator each call draws the start vector and every restart vector, so
+reruns and worker threads agree to the byte; an ARPACK failure is raised as
+``LinAlgError``.  Where ``5 r >= min(m, n)`` it forms X and the same Gram
+densely and takes its top r eigenvectors Q from one LAPACK ``eigh``, which
+is cheaper when r is a large share of the shape.  Both paths end in one
+Rayleigh-Ritz step :func:`_ritz` on (X^T Q)^T or X Q, as ``tangent``,
+``hmt`` and ``tropp`` end.  The Gram squares X's condition number, so where
+its r-th eigenvalue is at most ``_GRAM_FLOOR`` = 1e-6 times its largest
+(sigma_r / sigma_1 <= 1e-3, a rank-deficient or zero X included) the dense
+path truncates a full LAPACK SVD of X instead (:func:`svd_truncated`).  On
+clamped uniform iterates at one BLAS thread, Lanczos with the narrow basis
+tied the Gram path near r = 64-72 at 256 x 256 and won up to about r = 150
+at 512 x 512, where the rule switches at r = 52 and 103 (see README).
 """
 
 from __future__ import annotations
@@ -300,9 +306,10 @@ def clamp_iterate(
     flat = np.concatenate(flat)
     values = np.concatenate(values)
     clamped = project_box(values[np.newaxis], box)[0]
-    row, col = np.divmod(flat, n)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=m))))
-    correction = scipy.sparse.csr_array((clamped - values, col, indptr), shape=(m, n))
+    # flat is sorted row-major, so row i starts at the first index >= i n.
+    indptr = np.searchsorted(flat, np.arange(0, (m + 1) * n, n))
+    col = flat - np.repeat(np.arange(0, m * n, n), np.diff(indptr))
+    correction = scipy.sparse.csr_array((clamped - values, col, indptr), shape=(m, n), copy=False)
 
     errors = None
     if target is not None:
@@ -311,9 +318,10 @@ def clamp_iterate(
     # The entries outside the box include every one past a bound by more
     # than the threshold; a side's largest magnitude is that of its extreme
     # entry, as rounding is monotone.
+    over = values[values > box.hi + NOISE_THRESHOLD] - box.hi if box.hi < math.inf else values[:0]
     violations = ViolationStats(
         *_side(box.lo - values[values < box.lo - NOISE_THRESHOLD], m * n),
-        *_side(values[values > box.hi + NOISE_THRESHOLD] - box.hi, m * n),
+        *_side(over, m * n),
     )
     return ClampedIterate(left, right, box, correction, errors, violations)
 
@@ -346,6 +354,26 @@ def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
     return LowRankFactors(u=u, v=v, sigma=small.sigma)
 
 
+def _lanczos_width(x, factors, r: int) -> int | None:
+    """Lanczos vectors for X's top r: r + max(5, r // 8) where X's r-th gap is wide, else None.
+
+    X = Y + C lies within ||C||_2 <= ||C||_F of the rank-r previous iterate
+    Y, so by Weyl sigma_{r+1}(X) <= ||C||_2 and sigma_r(X) >= sigma_r(Y) -
+    ||C||_2; where ||C||_F <= sigma_r(Y) / 4 their ratio is at most 1/3.
+    That needs Y of numerical rank r, sigma_r(Y) above NumPy's ``matrix_rank``
+    tolerance max(m, n) eps sigma_1(Y); a sigma_r at rounding bounds nothing.
+    Elsewhere (a dense X, such as a start's target; a sigma-less Y or one of
+    another rank; an X far from rank r) None keeps SciPy's max(2 r + 1, 20).
+    """
+    if not isinstance(x, ClampedIterate) or factors is None or factors.sigma is None or factors.rank != r:
+        return None
+    sigma = factors.sigma
+    rounding = max(x.shape) * np.finfo(float).eps * sigma[0]
+    if sigma[-1] <= rounding or 4 * np.linalg.norm(x._correction.data) > sigma[-1]:
+        return None
+    return r + max(5, r // 8)
+
+
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
     m, n = x.shape
@@ -367,8 +395,9 @@ def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
             return x @ (xt @ b) if m < n else xt @ (x @ b)
 
         operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
+        ncv = _lanczos_width(x, factors, r)
         try:
-            _, basis = eigsh(operator, k=r, tol=0, rng=np.random.default_rng(0))
+            _, basis = eigsh(operator, k=r, ncv=ncv, tol=0, rng=np.random.default_rng(0))
         except ArpackError as err:  # ArpackNoConvergence included
             raise np.linalg.LinAlgError(str(err)) from err
         q, _ = qr_thin(basis)

@@ -12,6 +12,7 @@ from lrap import (
     MethodSpec,
     SketchCollapseError,
     SketchSpec,
+    SmoluchowskiSpec,
     UniformProblem,
     ap_gn_step,
     ap_hmt_step,
@@ -23,6 +24,7 @@ from lrap import (
     qr_thin,
     run_experiment,
     run_method,
+    smoluchowski_solution,
     svd_truncated,
     tangent_space_apply,
 )
@@ -331,8 +333,8 @@ BOXES = (BoxBounds(0.0, np.inf), BoxBounds(0.0, 1.0))
 KRYLOV_SHAPES = {"tall": (90, 40), "wide": (40, 90), "square": (60, 60)}
 
 
-def exact_projection(x, r):
-    return lrap.methods.ENGINES["svd"].project(x, None, MethodSpec(method="svd", r=r), 0)
+def exact_projection(x, r, factors=None):
+    return lrap.methods.ENGINES["svd"].project(x, factors, MethodSpec(method="svd", r=r), 0)
 
 
 def clamped(shape, r, box, seed):
@@ -341,6 +343,14 @@ def clamped(shape, r, box, seed):
     x = clamp_iterate(svd_truncated(rng.uniform(-0.3, 1.3, shape), r), box)
     assert x._correction.nnz > 0
     return x
+
+
+def svd_started(shape, r, box, seed):
+    """The rank-r truncation of a uniform target and its clamped iterate, as ``svd`` starts."""
+    factors = svd_truncated(np.random.default_rng(seed).uniform(0.0, 1.0, shape), r)
+    x = clamp_iterate(factors, box)
+    assert x._correction.nnz > 0
+    return factors, x
 
 
 DENSE_SHAPES = {"tall": (60, 40), "wide": (40, 60)}
@@ -359,6 +369,28 @@ def record_exact_projection_calls(monkeypatch):
         lrap.methods, "svd_truncated", lambda a, r: cores.append(np.shape(a)) or truncate(a, r)
     )
     return lanczos, grams, cores
+
+
+def spy_lanczos(monkeypatch, default=False):
+    """Record the ``ncv`` and the Gram products of each ``eigsh`` call; with
+    ``default``, ``eigsh`` gets SciPy's default ``ncv`` in place of the rule's."""
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+
+    def spy(operator, **kwargs):
+        call = {"ncv": kwargs.get("ncv"), "products": 0}
+        calls.append(call)
+        if default:
+            kwargs["ncv"] = None
+
+        def gram(b):
+            call["products"] += 1 if b.ndim == 1 else b.shape[1]
+            return operator @ b
+
+        counted = scipy.sparse.linalg.LinearOperator(operator.shape, matvec=gram, matmat=gram, dtype=np.float64)
+        return eigsh(counted, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
 
 
 def assert_same_truncation(got, want):
@@ -483,6 +515,57 @@ class TestExactProjectionPaths:
         got = exact_projection(x, 5)
         assert counts == {"T": 1, "__rmatmul__": 0}
         assert_same_truncation(got, svd_truncated(x.toarray(), 5))
+
+    @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
+    @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
+    def test_narrow_basis_gives_the_default_truncation(self, shape, box, monkeypatch):
+        factors, x = svd_started(shape, 5, box, seed=sum(shape))
+        with monkeypatch.context() as patch:
+            forced = spy_lanczos(patch, default=True)
+            want = exact_projection(x, 5, factors)
+        calls = spy_lanczos(monkeypatch)
+        got, again = exact_projection(x, 5, factors), exact_projection(x, 5, factors)
+        # The rule asks for r + 5 Lanczos vectors; the forced call got SciPy's 20.
+        assert [call["ncv"] for call in forced + calls] == [10] * 3
+        assert_same_truncation(got, want)
+        assert_same_truncation(got, svd_truncated(x.toarray(), 5))
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(again, name), getattr(got, name))
+
+    def test_lanczos_width_follows_the_weyl_guard(self, monkeypatch):
+        calls = spy_lanczos(monkeypatch)
+        spec = MethodSpec(method="svd", r=5)
+        # SVD-started iterates, ||C||_F <= sigma_r / 4: r + max(5, r // 8) vectors.
+        factors, _ = svd_started(KRYLOV_SHAPES["tall"], 5, BOXES[0], seed=130)
+        ap_svd_step(IterateState(factors), spec)
+        wide, _ = svd_started((250, 260), 48, BOXES[0], seed=0)
+        ap_svd_step(IterateState(wide), MethodSpec(method="svd", r=48))
+        assert [call["ncv"] for call in calls] == [10, 54]
+        calls.clear()
+        # SciPy's default: an iterate clamped from random orthonormal factors,
+        # far from rank r ...
+        rng = np.random.default_rng(2)
+        u, v = (qr_thin(rng.standard_normal((rows, 5)))[0] for rows in (90, 40))
+        far = LowRankFactors(u, v, np.linspace(2.0, 1.0, 5))
+        assert 4 * np.linalg.norm(clamp_iterate(far)._correction.data) > far.sigma[-1]
+        ap_svd_step(IterateState(far), spec)
+        # ... a start of numerical rank below r, whose sigma_r is rounding ...
+        coagulation = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
+        ap_svd_step(IterateState(svd_truncated(coagulation, 40)), MethodSpec(method="svd", r=40))
+        # ... a start of rank r + 1, whose sigma_{r+1} Weyl does not bound ...
+        ap_svd_step(IterateState(svd_started(KRYLOV_SHAPES["tall"], 6, BOXES[0], seed=130)[0]), spec)
+        # ... the dense target of the start, and sigma-less factors.
+        initialize(rng.uniform(0.0, 1.0, (90, 40)), spec)
+        ap_svd_step(IterateState(LowRankFactors(factors.u * factors.sigma, factors.v)), spec)
+        assert [call["ncv"] for call in calls] == [None] * 5
+
+    def test_svd_iterations_make_at_most_r_plus_10_gram_products(self, monkeypatch):
+        # SciPy's default basis of 2 r + 1 = 21 vectors takes 22 products.
+        target = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
+        calls = spy_lanczos(monkeypatch)
+        run_method(svd_truncated(target, 10), MethodSpec(method="svd", r=10, s=3), target)
+        assert len(calls) == 3
+        assert all(call["products"] <= 20 for call in calls), calls
 
     def test_traces_do_not_depend_on_the_worker_count(self, tmp_path):
         # r = 4 runs Lanczos, r = 10 (5 r == 50) the dense path.
