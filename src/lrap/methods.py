@@ -33,28 +33,31 @@ forms Q^T (Phi X) as (Q^T Phi) X, so X meets k or r rows, not l; ``tropp``
 hands it the orthonormal basis of X Psi, ``gn`` X Psi itself.
 
 ``svd``'s exact projection, which also starts ``svd`` and ``tangent``, takes
-one of two paths by one fixed rule.  Where ``5 r < min(m, n)`` it runs
-ARPACK's ``eigsh`` (restarted Lanczos) on the Gram matrix of the shorter
-side, X X^T for a wide X and X^T X otherwise, as X (X^T B) or X^T (X B),
-and orthonormalizes the Lanczos basis Q.  Restarted Lanczos converges at a
-rate set by X's r-th gap, so where the previous iterate Y bounds that gap
-the basis holds r + max(5, r // 8) vectors (:func:`_lanczos_width`): Y has
-sigma and numerical rank r, and ||C||_F <= sigma_r(Y) / 4, so by Weyl
+one of two paths by one fixed rule, :func:`~lrap.linalg.lanczos_path`.
+Where ``5 r < min(m, n)`` it is :func:`~lrap.linalg.lanczos_truncated`, the
+Lanczos kernel of ``linalg``: ARPACK's ``eigsh`` (restarted Lanczos) on the
+Gram matrix of the shorter side, X X^T for a wide X and X^T X otherwise, as
+X (X^T B) or X^T (X B), a QR of the Lanczos basis Q and one Rayleigh-Ritz
+step on (X^T Q)^T or X Q.  :func:`svd_truncated` runs the same kernel with
+SciPy's default basis, so on this path the documented start is bit for bit
+:func:`initialize`'s.  Restarted Lanczos converges at a rate set by X's r-th
+gap, so where the previous iterate Y bounds that gap the basis holds
+r + max(5, r // 8) vectors (:func:`_lanczos_width`): Y has sigma and
+numerical rank r, and ||C||_F <= sigma_r(Y) / 4, so by Weyl
 sigma_{r+1}(X) / sigma_r(X) <= 1/3.  Elsewhere, the dense target of a start
-included, it holds SciPy's default max(2 r + 1, 20).  A fresh fixed-seed
-generator each call draws the start vector and every restart vector, so
-reruns and worker threads agree to the byte; an ARPACK failure is raised as
-``LinAlgError``.  Where ``5 r >= min(m, n)`` it forms X and the same Gram
-densely and takes its top r eigenvectors Q from one LAPACK ``eigh``, which
-is cheaper when r is a large share of the shape.  Both paths end in one
-Rayleigh-Ritz step :func:`_ritz` on (X^T Q)^T or X Q, as ``tangent``,
-``hmt`` and ``tropp`` end.  The Gram squares X's condition number, so where
-its r-th eigenvalue is at most ``_GRAM_FLOOR`` = 1e-6 times its largest
-(sigma_r / sigma_1 <= 1e-3, a rank-deficient or zero X included) the dense
-path truncates a full LAPACK SVD of X instead (:func:`svd_truncated`).  On
-clamped uniform iterates at one BLAS thread, Lanczos with the narrow basis
-tied the Gram path near r = 64-72 at 256 x 256 and won up to about r = 150
-at 512 x 512, where the rule switches at r = 52 and 103 (see README).
+included, it holds SciPy's default max(2 r + 1, 20).  The kernel's ARPACK
+failure is raised as ``LinAlgError`` and propagates unretried.  Where
+``5 r >= min(m, n)`` it forms X and the same Gram densely and takes its top
+r eigenvectors Q from one LAPACK ``eigh``, which is cheaper when r is a
+large share of the shape, and ends in the Rayleigh-Ritz step :func:`_ritz`
+on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.  The Gram
+squares X's condition number, so where its r-th eigenvalue is at most
+``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <= 1e-3, a
+rank-deficient or zero X included) the dense path truncates a full LAPACK
+SVD of X instead (:func:`svd_truncated`).  On clamped uniform iterates at
+one BLAS thread, Lanczos with the narrow basis tied the Gram path near
+r = 64-72 at 256 x 256 and won up to about r = 150 at 512 x 512, where the
+rule switches at r = 52 and 103 (see README).
 """
 
 from __future__ import annotations
@@ -67,7 +70,14 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import solve_triangular
 
-from .linalg import LowRankFactors, as_matrix, qr_thin, svd_truncated
+from .linalg import (
+    LowRankFactors,
+    as_matrix,
+    lanczos_path,
+    lanczos_truncated,
+    qr_thin,
+    svd_truncated,
+)
 from .metrics import NOISE_THRESHOLD, IterationRecord, ViolationStats, target_norms
 from .metrics import iteration_record  # noqa: F401  (the record's reference, looked up here by tracers)
 from .projections import NONNEGATIVE, BoxBounds, project_box
@@ -377,32 +387,16 @@ def _lanczos_width(x, factors, r: int) -> int | None:
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
     m, n = x.shape
-    dense = 5 * r >= min(m, n)  # the module docstring's rule and its crossovers
-    if dense and isinstance(x, ClampedIterate):
+    if lanczos_path(x.shape, r):  # the module docstring's rule and its crossovers
+        return lanczos_truncated(x, r, _lanczos_width(x, factors, r))
+    if isinstance(x, ClampedIterate):
         x = x.toarray()
-    # Taken once, so that Lanczos's products are X B or X^T B, none the slow dense-CSR A C.
-    xt = x.T
-    if dense:
-        values, vectors = np.linalg.eigh(x @ xt if m < n else xt @ x)
-        if values[-r] <= _GRAM_FLOOR * values[-1]:
-            return svd_truncated(x, r)
-        q = vectors[:, -r:][:, ::-1]
-    else:
-        # Lanczos on the same Gram through the products of X; only this branch loads ARPACK.
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        def gram(b):
-            return x @ (xt @ b) if m < n else xt @ (x @ b)
-
-        operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
-        ncv = _lanczos_width(x, factors, r)
-        try:
-            _, basis = eigsh(operator, k=r, ncv=ncv, tol=0, rng=np.random.default_rng(0))
-        except ArpackError as err:  # ArpackNoConvergence included
-            raise np.linalg.LinAlgError(str(err)) from err
-        q, _ = qr_thin(basis)
+    values, vectors = np.linalg.eigh(x @ x.T if m < n else x.T @ x)
+    if values[-r] <= _GRAM_FLOOR * values[-1]:
+        return svd_truncated(x, r)
+    q = vectors[:, -r:][:, ::-1]
     # X ~ Q (Q^T X) for orthonormal left Ritz vectors Q, and X ~ (X Q) Q^T for right ones.
-    return _ritz((xt @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
+    return _ritz((x.T @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
 
 
 def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):

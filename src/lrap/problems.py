@@ -72,6 +72,10 @@ def gen_uniform(rows: int, cols: int, seed: int) -> np.ndarray:
     return _rng(seed).random((rows, cols))
 
 
+# Rows per block of the Bessel factor's upper triangle.
+_BESSEL_ROWS = 64
+
+
 def smoluchowski_concentration(spec: SmoluchowskiSpec) -> np.ndarray:
     """Particle concentration n(v1, v2, t) sampled on the grid.
 
@@ -89,7 +93,14 @@ def smoluchowski_concentration(spec: SmoluchowskiSpec) -> np.ndarray:
     decay = (spec.rate_a * v)[:, None] + (spec.rate_b * v)[None, :]
     mixing = spec.rate_a * spec.rate_b * tau / (tau + 2.0)
     argument = 2.0 * np.sqrt(mixing * np.outer(v, v))
-    return prefactor * (i0e(argument) * np.exp(argument - decay))
+    # The argument is exactly symmetric for any rates, so i0e, the costliest
+    # factor, is evaluated on row blocks of the upper triangle and mirrored.
+    bessel = np.empty_like(argument)
+    for start in range(0, spec.nodes, _BESSEL_ROWS):
+        stop = min(start + _BESSEL_ROWS, spec.nodes)
+        bessel[start:stop, start:] = i0e(argument[start:stop, start:])
+        bessel[stop:, start:stop] = bessel[start:stop, stop:].T
+    return prefactor * (bessel * np.exp(argument - decay))
 
 
 def smoluchowski_solution(spec: SmoluchowskiSpec) -> np.ndarray:
@@ -108,6 +119,11 @@ def smoluchowski_solution(spec: SmoluchowskiSpec) -> np.ndarray:
 # A comment must run to its newline or the end: a bare #[^\n]* could stop
 # early and let the token start inside the comment.
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+
+
+# Bytes of a P2 payload that np.fromstring reads as bytes.split() would: ASCII
+# digits and the six ASCII whitespace bytes.
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -147,10 +163,18 @@ def load_image_pgm(path) -> np.ndarray:
 
     count = width * height
     if magic == b"P2":
-        try:
-            pixels = np.array(data[pos:].split(), dtype=np.int64)
-        except ValueError:
-            raise ValueError("malformed PGM payload: non-numeric pixel") from None
+        payload = data[pos:]
+        if payload.translate(None, _DIGITS_AND_SPACE) or payload.isspace():
+            # Signs, other bytes, and a blank payload (which np.fromstring reads
+            # as one 0) keep Python's tokens and messages.
+            try:
+                pixels = np.array(payload.split(), dtype=np.int64)
+            except ValueError:
+                raise ValueError("malformed PGM payload: non-numeric pixel") from None
+        else:
+            # Unsigned decimals only, parsed in C; one past int64 saturates and
+            # fails the range check below.
+            pixels = np.fromstring(payload, dtype=np.int64, sep=" ")
         if pixels.size != count:
             raise ValueError(f"PGM payload has {pixels.size} pixels, expected {count}")
     else:

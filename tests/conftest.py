@@ -12,6 +12,13 @@ def nonnegative_rank_r(rows, cols, r, seed):
     return left @ right.T
 
 
+def lapack_truncation(matrix, r) -> LowRankFactors:
+    """Rank-r truncation of NumPy's full LAPACK SVD: a reference that shares
+    no code with lrap's Lanczos kernel."""
+    u, sigma, vt = np.linalg.svd(np.asarray(matrix, dtype=np.float64), full_matrices=False)
+    return LowRankFactors(u=u[:, :r], v=vt[:r].T, sigma=sigma[:r])
+
+
 def svd_state(matrix, r) -> LowRankFactors:
     return svd_truncated(matrix, r)
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrap import LowRankFactors, qr_thin, svd_truncated
-from lrap.linalg import as_matrix
+from lrap import LowRankFactors, MethodSpec, initialize, qr_thin, svd_truncated
+from lrap.linalg import as_matrix, lanczos_path
 from lrap.problems import gen_uniform
+from conftest import lapack_truncation, nonnegative_rank_r
 
 
 def test_as_matrix_rejects_a_vector():
@@ -166,12 +168,92 @@ def test_svd_truncated_in_every_orientation(case):
     assert np.abs(f.v.T @ f.v - np.eye(r)).max() <= 1e-13 * max(m, n)
     # The factors own their memory, so they pin none of LAPACK's output.
     assert f.u.base is None and f.v.base is None
-    if m >= n:
+    if lanczos_path(a.shape, r):
+        # 5 r < min(m, n): the exact projection's Lanczos start, bit for bit.
+        want = initialize(a, MethodSpec(method="svd", r=r))
+    elif m >= n:
         # Square and tall inputs take the direct factorization, unchanged.
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        assert np.array_equal(f.u, u[:, :r])
-        assert np.array_equal(f.v, vt[:r].T)
-        assert np.array_equal(f.sigma, s[:r])
+        want = lapack_truncation(a, r)
+    else:
+        return
+    assert np.array_equal(f.u, want.u)
+    assert np.array_equal(f.v, want.v)
+    assert np.array_equal(f.sigma, want.sigma)
+
+
+LANCZOS_SHAPES = {"tall": (90, 40), "wide": (40, 90), "square": (60, 60)}
+
+
+def count_lanczos(monkeypatch):
+    """Record every ``eigsh`` call; the Lanczos kernel looks it up at call time."""
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append(a) or eigsh(*a, **k))
+    return calls
+
+
+class TestSvdTruncatedStart:
+    """Where 5 r < min(m, n), ``svd_truncated`` runs the exact projection's
+    Lanczos kernel; a badly scaled input, or one on which ARPACK fails, takes
+    the full LAPACK SVD that every other rank takes."""
+
+    @pytest.mark.parametrize("r", [1, 5, 7])
+    @pytest.mark.parametrize("shape", LANCZOS_SHAPES.values(), ids=LANCZOS_SHAPES.keys())
+    def test_equals_the_svd_engines_start(self, shape, r):
+        a = np.random.default_rng(sum(shape) + r).uniform(-0.3, 1.3, shape)
+        got, want = svd_truncated(a, r), initialize(a, MethodSpec(method="svd", r=r))
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("kind", ["uniform", "normal", "rank1", "rank2"])
+    @pytest.mark.parametrize("shape", LANCZOS_SHAPES.values(), ids=LANCZOS_SHAPES.keys())
+    def test_agrees_with_lapack(self, shape, kind, monkeypatch):
+        rng = np.random.default_rng(sum(shape))
+        a = {
+            "uniform": lambda: rng.random(shape),
+            "normal": lambda: rng.standard_normal(shape),
+            "rank1": lambda: nonnegative_rank_r(*shape, 1, seed=1),
+            "rank2": lambda: nonnegative_rank_r(*shape, 2, seed=2),
+        }[kind]()
+        calls = count_lanczos(monkeypatch)
+        got, want = svd_truncated(a, 6), lapack_truncation(a, 6)
+        assert len(calls) == 1
+        assert np.abs(got.sigma - want.sigma).max() <= 1e-13 * want.sigma[0]
+        assert np.linalg.norm(got.u.T @ got.u - np.eye(6)) <= 1e-13
+        assert np.linalg.norm(got.v.T @ got.v - np.eye(6)) <= 1e-13
+        dense = want.reconstruct()
+        assert np.linalg.norm(got.reconstruct() - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [0.0, 2.0**-600, 2.0**-48, 2.0**300],
+        ids=["zero", "underflowing", "tiny", "huge"],
+    )
+    def test_badly_scaled_input_takes_lapack(self, scale, monkeypatch):
+        # ARPACK would fail on the first two ("starting vector is zero") and
+        # stop early on the third, whose Gram is far below eps**(2/3); the
+        # fourth lies past the range, toward a Gram that overflows.
+        a = scale * np.random.default_rng(3).random(LANCZOS_SHAPES["tall"])
+        calls = count_lanczos(monkeypatch)
+        got, want = svd_truncated(a, 5), lapack_truncation(a, 5)
+        assert calls == []
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("shape", LANCZOS_SHAPES.values(), ids=LANCZOS_SHAPES.keys())
+    def test_arpack_failure_falls_back_to_lapack(self, shape, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        a = np.random.default_rng(4).random(shape)
+        got = svd_truncated(a, 5)
+        if shape[0] < shape[1]:  # a wide input is factored through its transpose
+            transposed = lapack_truncation(a.T, 5)
+            want = LowRankFactors(u=transposed.v, v=transposed.u, sigma=transposed.sigma)
+        else:
+            want = lapack_truncation(a, 5)
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestLowRankFactors:

@@ -31,7 +31,7 @@ from lrap import (
 from lrap.methods import _PHI, _PSI, ClampedIterate, _iteration_sketch, clamp_iterate
 from lrap.sketching import SparseSignMatrix, gen_test_matrix
 from lrap.problems import gen_uniform
-from conftest import nonnegative_rank_r
+from conftest import lapack_truncation, nonnegative_rank_r
 
 SPARSE = SketchSpec(kind="sparse", density=0.2, seed=5)
 GAUSS = SketchSpec(kind="gaussian", seed=5)
@@ -412,7 +412,7 @@ class TestExactProjectionPaths:
     @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
     def test_operator_dense_and_lapack_agree(self, shape, box):
         x = clamped(shape, 10, box, seed=sum(shape))
-        want = svd_truncated(x.toarray(), 5)
+        want = lapack_truncation(x.toarray(), 5)
         assert_same_truncation(exact_projection(x, 5), want)
         assert_same_truncation(exact_projection(x.toarray(), 5), want)
 
@@ -425,7 +425,7 @@ class TestExactProjectionPaths:
         for source in (x, y):
             got = exact_projection(source, 6)
             assert rel_err(y, got.reconstruct()) < 1e-12
-            assert_same_truncation(got, svd_truncated(y, 6))
+            assert_same_truncation(got, lapack_truncation(y, 6))
 
     def test_repeated_calls_are_bitwise_equal(self):
         x = clamped((80, 70), 12, BOXES[1], seed=3)
@@ -458,7 +458,7 @@ class TestExactProjectionPaths:
             assert np.array_equal(getattr(again, name), getattr(got, name))
         # One rank less: the Krylov path.
         grams.clear()
-        assert_same_truncation(exact_projection(x, 7), svd_truncated(x.toarray(), 7))
+        assert_same_truncation(exact_projection(x, 7), lapack_truncation(x.toarray(), 7))
         assert len(lanczos) == 1 and grams == []
 
     @pytest.mark.parametrize("shape", DENSE_SHAPES.values(), ids=DENSE_SHAPES.keys())
@@ -493,7 +493,7 @@ class TestExactProjectionPaths:
             lambda operator, **k: shapes.append(operator.shape) or original(operator, **k),
         )
         x = clamped(KRYLOV_SHAPES["wide"], 10, BOXES[1], seed=5)
-        assert_same_truncation(exact_projection(x, 5), svd_truncated(x.toarray(), 5))
+        assert_same_truncation(exact_projection(x, 5), lapack_truncation(x.toarray(), 5))
         assert shapes == [(40, 40)]
 
     @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
@@ -514,7 +514,7 @@ class TestExactProjectionPaths:
         x = clamped(shape, 10, BOXES[1], seed=6)
         got = exact_projection(x, 5)
         assert counts == {"T": 1, "__rmatmul__": 0}
-        assert_same_truncation(got, svd_truncated(x.toarray(), 5))
+        assert_same_truncation(got, lapack_truncation(x.toarray(), 5))
 
     @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
     @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
@@ -528,17 +528,20 @@ class TestExactProjectionPaths:
         # The rule asks for r + 5 Lanczos vectors; the forced call got SciPy's 20.
         assert [call["ncv"] for call in forced + calls] == [10] * 3
         assert_same_truncation(got, want)
-        assert_same_truncation(got, svd_truncated(x.toarray(), 5))
+        assert_same_truncation(got, lapack_truncation(x.toarray(), 5))
         for name in ("u", "v", "sigma"):
             assert np.array_equal(getattr(again, name), getattr(got, name))
 
     def test_lanczos_width_follows_the_weyl_guard(self, monkeypatch):
-        calls = spy_lanczos(monkeypatch)
         spec = MethodSpec(method="svd", r=5)
-        # SVD-started iterates, ||C||_F <= sigma_r / 4: r + max(5, r // 8) vectors.
+        # The starts are built first: svd_truncated runs Lanczos of its own.
         factors, _ = svd_started(KRYLOV_SHAPES["tall"], 5, BOXES[0], seed=130)
-        ap_svd_step(IterateState(factors), spec)
         wide, _ = svd_started((250, 260), 48, BOXES[0], seed=0)
+        coagulation = svd_truncated(smoluchowski_solution(SmoluchowskiSpec(nodes=256)), 40)
+        taller, _ = svd_started(KRYLOV_SHAPES["tall"], 6, BOXES[0], seed=130)
+        calls = spy_lanczos(monkeypatch)
+        # SVD-started iterates, ||C||_F <= sigma_r / 4: r + max(5, r // 8) vectors.
+        ap_svd_step(IterateState(factors), spec)
         ap_svd_step(IterateState(wide), MethodSpec(method="svd", r=48))
         assert [call["ncv"] for call in calls] == [10, 54]
         calls.clear()
@@ -550,10 +553,9 @@ class TestExactProjectionPaths:
         assert 4 * np.linalg.norm(clamp_iterate(far)._correction.data) > far.sigma[-1]
         ap_svd_step(IterateState(far), spec)
         # ... a start of numerical rank below r, whose sigma_r is rounding ...
-        coagulation = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
-        ap_svd_step(IterateState(svd_truncated(coagulation, 40)), MethodSpec(method="svd", r=40))
+        ap_svd_step(IterateState(coagulation), MethodSpec(method="svd", r=40))
         # ... a start of rank r + 1, whose sigma_{r+1} Weyl does not bound ...
-        ap_svd_step(IterateState(svd_started(KRYLOV_SHAPES["tall"], 6, BOXES[0], seed=130)[0]), spec)
+        ap_svd_step(IterateState(taller), spec)
         # ... the dense target of the start, and sigma-less factors.
         initialize(rng.uniform(0.0, 1.0, (90, 40)), spec)
         ap_svd_step(IterateState(LowRankFactors(factors.u * factors.sigma, factors.v)), spec)
@@ -562,8 +564,9 @@ class TestExactProjectionPaths:
     def test_svd_iterations_make_at_most_r_plus_10_gram_products(self, monkeypatch):
         # SciPy's default basis of 2 r + 1 = 21 vectors takes 22 products.
         target = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
+        start = svd_truncated(target, 10)
         calls = spy_lanczos(monkeypatch)
-        run_method(svd_truncated(target, 10), MethodSpec(method="svd", r=10, s=3), target)
+        run_method(start, MethodSpec(method="svd", r=10, s=3), target)
         assert len(calls) == 3
         assert all(call["products"] <= 20 for call in calls), calls
 
@@ -741,7 +744,7 @@ class TestInitialize:
             # 5 r >= min(m, n), the dense path, and 5 r < min(m, n), the Krylov
             # path: each the LAPACK truncation to rounding.
             for r in (6, 5):
-                assert_same_truncation(initialize(a, MethodSpec(method=method, r=r)), svd_truncated(a, r))
+                assert_same_truncation(initialize(a, MethodSpec(method=method, r=r)), lapack_truncation(a, r))
 
     def test_randomized_initialization_reproducible(self):
         a = gen_uniform(30, 30, 15)

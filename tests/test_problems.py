@@ -88,6 +88,31 @@ class TestSmoluchowski:
         m = smoluchowski_solution(SmoluchowskiSpec(nodes=128))
         assert np.array_equal(m, m.T)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SmoluchowskiSpec(),
+            SmoluchowskiSpec(rate_a=1.3, rate_b=0.7, origin=0.05, nodes=257),
+            SmoluchowskiSpec(nodes=1),
+            SmoluchowskiSpec(nodes=2),
+            SmoluchowskiSpec(nodes=3),
+        ],
+        ids=["default", "unequal-rates", "nodes1", "nodes2", "nodes3"],
+    )
+    def test_mirrored_bessel_factor_is_bitwise_the_full_one(self, spec):
+        from scipy.special import i0e
+
+        v = spec.grid()
+        root_k = math.sqrt(spec.kernel_constant)
+        tau = root_k * spec.time
+        prefactor = root_k * spec.rate_a * spec.rate_b / (1.0 + tau / 2.0) ** 2
+        decay = (spec.rate_a * v)[:, None] + (spec.rate_b * v)[None, :]
+        mixing = spec.rate_a * spec.rate_b * tau / (tau + 2.0)
+        argument = 2.0 * np.sqrt(mixing * np.outer(v, v))
+        full = prefactor * (i0e(argument) * np.exp(argument - decay))
+        got = smoluchowski_concentration(spec)
+        assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
     def test_full_grid_finite_and_positive(self):
         spec = SmoluchowskiSpec()  # 1024 nodes, max coordinate 102.3
         n = smoluchowski_concentration(spec)
@@ -215,6 +240,69 @@ class TestLoadImagePgm:
         path.write_bytes(data)
         with pytest.raises(ValueError, match=message):
             load_image_pgm(path)
+
+    P2_PAYLOADS = {
+        "tabs": (255, b"1\t2\t\t3\t4"),
+        "crlf": (255, b"1 2\r\n3 4\r\n"),
+        "space-runs": (255, b"\n  1     2\n\n   3  4    \n"),
+        "leading-zeros": (255, b"001 0002 03 00000000000000000000004"),
+        "no-trailing-newline": (255, b"10 20 30 40"),
+        "vt-ff": (255, b"1\x0b2\x0c3 4"),
+        "sixteen-bit": (65535, b"65535 0 40000 1\n"),
+    }
+
+    @staticmethod
+    def count_fast_parses(monkeypatch):
+        calls, fromstring = [], np.fromstring
+        monkeypatch.setattr(np, "fromstring", lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("maxval, payload", P2_PAYLOADS.values(), ids=P2_PAYLOADS.keys())
+    def test_p2_fast_path_matches_split(self, tmp_path, monkeypatch, maxval, payload):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n2 2\n%d\n" % maxval + payload)
+        calls = self.count_fast_parses(monkeypatch)
+        got = load_image_pgm(path)
+        want = np.array(payload.split(), dtype=np.int64).reshape(2, 2) / float(maxval)
+        assert len(calls) == 1
+        assert np.array_equal(got, want)
+
+    def test_p2_fast_path_on_a_written_image(self, tmp_path, monkeypatch):
+        path = tmp_path / "img.pgm"
+        write_pgm_p2(path, synthetic_image(n=40))
+        payload = path.read_bytes().split(b"\n", 3)[3]
+        calls = self.count_fast_parses(monkeypatch)
+        got = load_image_pgm(path)
+        assert len(calls) == 1
+        assert np.array_equal(got, np.array(payload.split(), dtype=np.int64).reshape(40, 40) / 255.0)
+
+    def test_p2_signed_pixel_takes_the_split_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n2 1\n10\n+5 7\n")
+        calls = self.count_fast_parses(monkeypatch)
+        assert np.array_equal(load_image_pgm(path), [[0.5, 0.7]])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n2 1\n255\n0 y\n", "malformed PGM payload: non-numeric pixel"),
+            (b"P2\n2 1\n255\n0 #1\n", "malformed PGM payload: non-numeric pixel"),
+            (b"P2\n2 2\n255\n0 1 2\n", "PGM payload has 3 pixels, expected 4"),
+            (b"P2\n2 1\n255\n", "PGM payload has 0 pixels, expected 2"),
+            (b"P2\n2 1\n255\n \n\t", "PGM payload has 0 pixels, expected 2"),
+            (b"P2\n2 1\n10\n5 11\n", "PGM pixel value outside [0, maxval]"),
+            (b"P2\n2 1\n10\n5 -1\n", "PGM pixel value outside [0, maxval]"),
+            (b"P2\n1 1\n255\n1234567890123456789012345\n", "PGM pixel value outside [0, maxval]"),
+        ],
+        ids=["letter", "comment", "few", "empty", "blank", "over", "negative", "25-digits"],
+    )
+    def test_p2_payload_errors_keep_type_and_message(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as raised:
+            load_image_pgm(path)
+        assert type(raised.value) is ValueError and str(raised.value) == message
 
     def test_malformed_inputs(self, tmp_path):
         bad_magic = tmp_path / "bad.pgm"
