@@ -47,17 +47,26 @@ numerical rank r, and ||C||_F <= sigma_r(Y) / 4, so by Weyl
 sigma_{r+1}(X) / sigma_r(X) <= 1/3.  Elsewhere, the dense target of a start
 included, it holds SciPy's default max(2 r + 1, 20).  The kernel's ARPACK
 failure is raised as ``LinAlgError`` and propagates unretried.  Where
-``5 r >= min(m, n)`` it forms X and the same Gram densely and takes its top
-r eigenvectors Q from one LAPACK ``eigh``, which is cheaper when r is a
-large share of the shape, and ends in the Rayleigh-Ritz step :func:`_ritz`
-on (X^T Q)^T or X Q, as ``tangent``, ``hmt`` and ``tropp`` end.  The Gram
-squares X's condition number, so where its r-th eigenvalue is at most
+``5 r >= min(m, n)`` it forms X densely and takes its Gram truncation
+:func:`_gram_truncated`, which is cheaper when r is a large share of the
+shape.  On clamped uniform iterates at one BLAS thread, Lanczos with the
+narrow basis tied the Gram path near r = 64-72 at 256 x 256 and won up to
+about r = 150 at 512 x 512, where the rule switches at r = 52 and 103 (see
+README).
+
+The Gram truncation is also the small SVD of the Rayleigh-Ritz step
+:func:`_ritz` that ends ``tangent``, ``hmt`` and ``tropp``: the core's top r
+from one LAPACK ``eigh`` of its shorter side's Gram, not a full SVD of the
+core.  The other side is lifted through the core and normalized, so it is
+orthonormal only to about (sigma_1 / sigma_r)^2 eps.  The Gram squares the
+core's condition number, so where its r-th eigenvalue is at most
 ``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <= 1e-3, a
-rank-deficient or zero X included) the dense path truncates a full LAPACK
-SVD of X instead (:func:`svd_truncated`).  On clamped uniform iterates at
-one BLAS thread, Lanczos with the narrow basis tied the Gram path near
-r = 64-72 at 256 x 256 and won up to about r = 150 at 512 x 512, where the
-rule switches at r = 52 and 103 (see README).
+rank-deficient or zero core included) it truncates a full LAPACK SVD
+instead (:func:`svd_truncated`).  ``tangent``'s bases [u q2] and [v q1]
+stay orthonormal on an iterate of numerical rank below r, where the QR of
+the part of X v outside u holds directions of rounding noise: a step whose
+lifted factors are not orthonormal to sqrt(eps) is taken again with q2 and
+q1 from the QR of [u, X v - u u^T X v] and its mirror (:func:`_complement`).
 """
 
 from __future__ import annotations
@@ -116,10 +125,14 @@ _RETRY = 2**31
 # target and its mask stay in cache between the operations on them.
 _BLOCK_ENTRIES = 1 << 15
 
-# The Gram squares X's condition number, so the exact projection's dense path
-# trusts its top r eigenvectors only where lambda_r > _GRAM_FLOOR lambda_1,
-# that is sigma_r / sigma_1 > 1e-3, and else takes the full SVD of X.
+# The Gram squares a matrix's condition number, so the Gram truncation trusts
+# its top r eigenvectors only where lambda_r > _GRAM_FLOOR lambda_1, that is
+# sigma_r / sigma_1 > 1e-3, and else takes the matrix's full SVD.
 _GRAM_FLOOR = 1e-6
+
+# The largest |entry| of F^T F - I at which tangent takes its lifted
+# factors F as orthonormal.
+_ORTHOGONAL = math.sqrt(np.finfo(float).eps)
 
 
 class SketchCollapseError(np.linalg.LinAlgError):
@@ -356,9 +369,39 @@ def tangent_space_apply(x, u, v) -> np.ndarray:
     return u @ utx + (xv - u @ (utx @ v)) @ v.T
 
 
+def _gram_truncated(a: np.ndarray, r: int) -> LowRankFactors:
+    """Rank-r truncated SVD of a dense ``a`` from one ``eigh`` of its shorter side's Gram.
+
+    The top r eigenvectors E of a a^T (a wide ``a``) or a^T a (otherwise)
+    are one side's singular vectors; the other side is the lift a^T E or
+    a E, whose column norms are sigma and are divided out, and both are
+    ordered so that sigma is nonincreasing.  The Gram squares a's condition
+    number, so where lambda_r <= ``_GRAM_FLOOR`` lambda_1 (sigma_r / sigma_1
+    <= 1e-3, a rank-deficient or zero ``a`` included) this truncates
+    LAPACK's full SVD of ``a`` instead (:func:`svd_truncated`).
+    """
+    m, n = a.shape
+    wide = m < n
+    values, vectors = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    if values[-r] <= _GRAM_FLOOR * values[-1]:
+        return svd_truncated(a, r)
+    top = vectors[:, ::-1][:, :r]
+    lifted = a.T @ top if wide else a @ top
+    sigma = np.linalg.norm(lifted, axis=0)
+    # Close eigenvalues may lift to norms out of order by rounding.
+    order = np.argsort(-sigma, kind="stable")
+    top, lifted, sigma = top[:, order], lifted[:, order] / sigma[order], sigma[order]
+    u, v = (top, lifted) if wide else (lifted, top)
+    return LowRankFactors(u=u, v=v, sigma=sigma)
+
+
 def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
-    """Rayleigh-Ritz for X ~ left @ core @ right.T: the core's rank-r SVD, lifted."""
-    small = svd_truncated(core, r)
+    """Rayleigh-Ritz for X ~ left @ core @ right.T: the core's rank-r Gram truncation, lifted.
+
+    ``left`` and ``right`` have orthonormal columns, so the lifted factors
+    are as orthonormal as the core's.
+    """
+    small = _gram_truncated(core, r)
     u = small.u if left is None else left @ small.u
     v = small.v if right is None else right @ small.v
     return LowRankFactors(u=u, v=v, sigma=small.sigma)
@@ -386,17 +429,39 @@ def _lanczos_width(x, factors, r: int) -> int | None:
 
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
-    m, n = x.shape
     if lanczos_path(x.shape, r):  # the module docstring's rule and its crossovers
         return lanczos_truncated(x, r, _lanczos_width(x, factors, r))
     if isinstance(x, ClampedIterate):
         x = x.toarray()
-    values, vectors = np.linalg.eigh(x @ x.T if m < n else x.T @ x)
-    if values[-r] <= _GRAM_FLOOR * values[-1]:
-        return svd_truncated(x, r)
-    q = vectors[:, -r:][:, ::-1]
-    # X ~ Q (Q^T X) for orthonormal left Ritz vectors Q, and X ~ (X Q) Q^T for right ones.
-    return _ritz((x.T @ q).T, r, left=q) if m < n else _ritz(x @ q, r, right=q)
+    return _gram_truncated(x, r)
+
+
+def _complement(basis, g):
+    """An orthonormal Q with Q^T basis = 0 and the coordinates R of ``g`` in it, g ~ Q R.
+
+    Q and R are the trailing blocks of the QR of [basis g], which has at
+    most m columns, so Q is orthogonal to ``basis`` even where ``g`` is
+    rank-deficient and the QR of g alone completes its range with
+    directions of rounding noise.
+    """
+    q, r = np.linalg.qr(np.hstack([basis, g]))
+    width = basis.shape[1]
+    return q[:, width:], r[width:, width:]
+
+
+def _tangent_ritz(core, u, v, left, right, r: int) -> LowRankFactors:
+    """Rayleigh-Ritz on the tangent space at (u, v), from the QRs (q2, r2) and
+    (q1, r1) of X v and X^T u outside u and v."""
+    (q2, r2), (q1, r1) = left, right
+    z = np.block([[core, r1.T], [r2, np.zeros((r2.shape[0], r1.shape[0]))]])
+    # A base point of rank below r/2 spans a tangent space of rank below r.
+    return _ritz(z, min(r, *z.shape), left=np.hstack([u, q2]), right=np.hstack([v, q1]))
+
+
+def _orthonormal(factors: LowRankFactors) -> bool:
+    """Whether every entry of U^T U - I and V^T V - I is at most sqrt(eps)."""
+    eye = np.eye(factors.rank)
+    return all(np.abs(f.T @ f - eye).max() <= _ORTHOGONAL for f in (factors.u, factors.v))
 
 
 def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -411,14 +476,18 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     g1 = u.T @ x                      # r x n
     core = g1 @ v                     # u.T x v, r x r
     g2 = x @ v - u @ core             # (I - u u.T) x v, m x r
-    q2, r2 = qr_thin(g2)
-    # Orthogonalize the row-space factor against v so that [v q1] has
-    # orthonormal columns and the small SVD below is a genuine SVD of the
-    # projected matrix.
-    q1, r1 = qr_thin(g1.T - v @ core.T)
-    z = np.block([[core, r1.T], [r2, np.zeros_like(core)]])
-    # A base point of rank below r/2 spans a tangent space of rank below r.
-    return _ritz(z, min(spec.r, z.shape[0]), left=np.hstack([u, q2]), right=np.hstack([v, q1]))
+    g1 = g1.T - v @ core.T            # (I - v v.T) x.T u, n x r
+    # [u q2] and [v q1] must have orthonormal columns for the small SVD to
+    # be a genuine SVD of the projected matrix.  The QR of g2 alone is
+    # orthogonal to u up to rounding unless g2 is rank-deficient, as on an
+    # iterate of numerical rank below r; its noise directions then enter the
+    # top r and leave the lifted factors far from orthonormal (the Gram
+    # lift alone stays within (sigma_1 / sigma_r)^2 eps <= 1e6 eps).  Only
+    # then are q2 and q1 taken from the QR of [u g2] and [v g1].
+    step = _tangent_ritz(core, u, v, qr_thin(g2), qr_thin(g1), spec.r)
+    if _orthonormal(step):
+        return step
+    return _tangent_ritz(core, u, v, _complement(u, g2), _complement(v, g1), spec.r)
 
 
 def _phi_side(x, basis, spec: MethodSpec, iteration_seed: int):

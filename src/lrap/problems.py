@@ -167,8 +167,14 @@ def load_image_pgm(path) -> np.ndarray:
         if payload.translate(None, _DIGITS_AND_SPACE) or payload.isspace():
             # Signs, other bytes, and a blank payload (which np.fromstring reads
             # as one 0) keep Python's tokens and messages.
+            tokens = payload.split()
             try:
-                pixels = np.array(payload.split(), dtype=np.int64)
+                try:
+                    pixels = np.array(tokens, dtype=np.int64)
+                except OverflowError:
+                    # A token past int64 is clipped to just outside [0, maxval],
+                    # so it fails the range check below as a saturated one does.
+                    pixels = np.array([min(max(int(t), -1), maxval + 1) for t in tokens], dtype=np.int64)
             except ValueError:
                 raise ValueError("malformed PGM payload: non-numeric pixel") from None
         else:

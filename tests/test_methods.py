@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 import lrap.methods
@@ -202,6 +204,36 @@ class TestTangentSpace:
         for base in (pair, svd_truncated(pair.reconstruct(), 1)):
             assert ap_tangent_step(IterateState(base), spec).factors.rank == 2
 
+    def test_rank_one_target_is_reproduced(self, rng):
+        # The rank-1 target's start has sigma_2..5 at rounding, so X v - u
+        # u^T X v is rounding noise, whose QR is not orthogonal to u.
+        target = np.outer(rng.random(60), rng.random(50))
+        spec = MethodSpec(method="tangent", r=5, s=3)
+        _, trace = run_method(initialize(target, spec), spec, target=target)
+        assert trace[-1].rel_frobenius <= 1e-12
+
+    def test_joined_qr_only_where_the_qr_of_g_alone_fails(self, rng, monkeypatch):
+        # On a target of rank exactly r the iterate becomes feasible, so
+        # X v - u u^T X v falls to rounding noise too, but the top r stay
+        # on u and v and the QR of g alone serves; at rank 1 under r = 5
+        # the noise enters the top r and takes the QR of [u g].
+        joined, complement = [], lrap.methods._complement
+        monkeypatch.setattr(lrap.methods, "_complement", lambda b, g: joined.append(g.shape) or complement(b, g))
+        spec = MethodSpec(method="tangent", r=5, s=20)
+        exact = nonnegative_rank_r(60, 50, 5, seed=3)
+        _, trace = run_method(initialize(exact, spec), spec, target=exact)
+        assert trace[-1].rel_frobenius <= 1e-12 and joined == []
+        rank_one = np.outer(rng.random(60), rng.random(50))
+        ap_tangent_step(IterateState(initialize(rank_one, spec)), spec)
+        assert joined == [(60, 5), (50, 5)]
+
+    def test_coagulation_target_of_numerical_rank_below_r(self):
+        # The coagulation spectrum falls below 1e-12 sigma_1 before index 40.
+        target = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
+        spec = MethodSpec(method="tangent", r=40, s=20)
+        _, trace = run_method(initialize(target, spec), spec, target=target)
+        assert trace[-1].rel_frobenius <= 1e-12
+
     def test_iterate_stays_rank_r(self):
         a = gen_uniform(40, 40, 12)
         spec = MethodSpec(method="tangent", r=6, s=10)
@@ -285,13 +317,15 @@ class TestRandomizedDetails:
     @pytest.mark.parametrize(
         "method, step, shape, owner, name, error",
         [
+            # 5 r >= min(m, n): the dense path's Gram truncation of X, and
+            # the eigendecomposition of the Gram of tangent's Ritz core.
             pytest.param(
-                "svd", ap_svd_step, (12, 10), lrap.methods, "svd_truncated",
+                "svd", ap_svd_step, (12, 10), lrap.methods, "_gram_truncated",
                 np.linalg.LinAlgError("SVD did not converge"), id="svd-ap_svd_step",
             ),
             pytest.param(
-                "tangent", ap_tangent_step, (12, 10), lrap.methods, "svd_truncated",
-                np.linalg.LinAlgError("SVD did not converge"), id="tangent-ap_tangent_step",
+                "tangent", ap_tangent_step, (12, 10), np.linalg, "eigh",
+                np.linalg.LinAlgError("Eigenvalues did not converge"), id="tangent-ap_tangent_step",
             ),
             # 5 r < min(m, n): the exact projection runs ARPACK, whose
             # failures are RuntimeErrors, re-raised as LinAlgError.
@@ -356,19 +390,28 @@ def svd_started(shape, r, box, seed):
 DENSE_SHAPES = {"tall": (60, 40), "wide": (40, 60)}
 
 
+def record_gram_truncations(monkeypatch):
+    """Record the shapes of the ``np.linalg.eigh`` arguments, those that the
+    Gram truncation ``_gram_truncated`` takes, and those of its LAPACK
+    fallback ``svd_truncated``."""
+    grams, cores, lapack = [], [], []
+    eigh, gram, truncate = np.linalg.eigh, lrap.methods._gram_truncated, lrap.methods.svd_truncated
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a.shape) or eigh(a))
+    monkeypatch.setattr(lrap.methods, "_gram_truncated", lambda a, r: cores.append(a.shape) or gram(a, r))
+    monkeypatch.setattr(
+        lrap.methods, "svd_truncated", lambda a, r: lapack.append(np.shape(a)) or truncate(a, r)
+    )
+    return grams, cores, lapack
+
+
 def record_exact_projection_calls(monkeypatch):
-    """Record the exact projection's ``eigsh`` calls, the shapes of its
-    ``np.linalg.eigh`` arguments, and the shapes its ``svd_truncated`` takes."""
-    lanczos, grams, cores = [], [], []
-    eigsh, eigh, truncate = scipy.sparse.linalg.eigsh, np.linalg.eigh, lrap.methods.svd_truncated
+    """Record the exact projection's ``eigsh`` calls and its Gram truncations
+    (:func:`record_gram_truncations`)."""
+    lanczos, eigsh = [], scipy.sparse.linalg.eigsh
     monkeypatch.setattr(
         scipy.sparse.linalg, "eigsh", lambda *a, **k: lanczos.append(a) or eigsh(*a, **k)
     )
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a.shape) or eigh(a))
-    monkeypatch.setattr(
-        lrap.methods, "svd_truncated", lambda a, r: cores.append(np.shape(a)) or truncate(a, r)
-    )
-    return lanczos, grams, cores
+    return (lanczos, *record_gram_truncations(monkeypatch))
 
 
 def spy_lanczos(monkeypatch, default=False):
@@ -445,14 +488,14 @@ class TestExactProjectionPaths:
                 assert np.array_equal(getattr(again, name), getattr(first, name))
 
     def test_dense_at_the_boundary_of_the_rule(self, monkeypatch):
-        lanczos, grams, cores = record_exact_projection_calls(monkeypatch)
+        lanczos, grams, cores, lapack = record_exact_projection_calls(monkeypatch)
         x = clamped((50, 40), 16, BOXES[0], seed=4)
         want = svd_truncated(x.toarray(), 8)
-        # 5 r == min(m, n): the dense path, one eigendecomposition of the
-        # 40 x 40 Gram and the Ritz step on the 50 x 8 X Q.
+        # 5 r == min(m, n): the dense path, one Gram truncation of the dense
+        # 50 x 40 X through one eigendecomposition of its 40 x 40 Gram.
         got = exact_projection(x, 8)
         assert_same_truncation(got, want)
-        assert (lanczos, grams, cores) == ([], [(40, 40)], [(50, 8)])
+        assert (lanczos, grams, cores, lapack) == ([], [(40, 40)], [(50, 40)], [])
         again = exact_projection(x, 8)
         for name in ("u", "v", "sigma"):
             assert np.array_equal(getattr(again, name), getattr(got, name))
@@ -463,12 +506,11 @@ class TestExactProjectionPaths:
 
     @pytest.mark.parametrize("shape", DENSE_SHAPES.values(), ids=DENSE_SHAPES.keys())
     def test_dense_path_eigendecomposes_the_shorter_sides_gram(self, shape, monkeypatch):
-        lanczos, grams, cores = record_exact_projection_calls(monkeypatch)
+        lanczos, grams, cores, lapack = record_exact_projection_calls(monkeypatch)
         x = clamped(shape, 16, BOXES[1], seed=7)
         want = svd_truncated(x.toarray(), 8)
         assert_same_truncation(exact_projection(x, 8), want)
-        core = (8, 60) if shape[0] < shape[1] else (60, 8)
-        assert (lanczos, grams, cores) == ([], [(40, 40)], [core])
+        assert (lanczos, grams, cores, lapack) == ([], [(40, 40)], [shape], [])
 
     @pytest.mark.parametrize("case", ["steep", "rank2"])
     def test_ill_conditioned_input_takes_the_full_svd(self, case, monkeypatch):
@@ -480,9 +522,9 @@ class TestExactProjectionPaths:
             x, r = (u * 10.0 ** (-7.0 * np.arange(100) / 29)) @ v.T, 30
         else:
             x, r = nonnegative_rank_r(40, 40, 2, seed=9), 8
-        lanczos, grams, cores = record_exact_projection_calls(monkeypatch)
+        lanczos, grams, cores, lapack = record_exact_projection_calls(monkeypatch)
         got = exact_projection(x, r)
-        assert (lanczos, grams, cores) == ([], [x.shape], [x.shape])
+        assert (lanczos, grams, cores, lapack) == ([], [x.shape], [x.shape], [x.shape])
         assert_same_truncation(got, svd_truncated(x, r))
 
     def test_wide_input_runs_lanczos_on_the_shorter_side(self, monkeypatch):
@@ -589,6 +631,115 @@ class TestExactProjectionPaths:
                 outputs.append(out)
             for name in ("trial_0.csv", "trial_1.csv", "trial_2.csv", "mean.csv", "summary.json"):
                 assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+def scaled_core(shape, sigma, seed):
+    """A core of the given shape with singular values ``sigma`` (padded with
+    zeros) on random orthonormal bases."""
+    rng = np.random.default_rng(seed)
+    width = min(shape)
+    u, v = (qr_thin(rng.standard_normal((rows, width)))[0] for rows in shape)
+    return (u * np.pad(sigma, (0, width - len(sigma)))) @ v.T
+
+
+@st.composite
+def gram_cores(draw):
+    """A tall, wide or square core, a rank r, and sigma_r / sigma_1 at or
+    above 2e-3 with sigma_{r+1} <= sigma_r / 2, at a power-of-two scale."""
+    small = draw(st.integers(1, 30))
+    large = draw(st.integers(small + 1, 60))
+    shape = draw(st.sampled_from([(large, small), (small, large), (small, small)]))
+    r = draw(st.integers(1, min(shape)))
+    ratio = draw(st.sampled_from([2e-3, 1.0]) | st.floats(2e-3, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    head = np.geomspace(1.0, ratio, r)
+    tail = np.sort(rng.uniform(0.0, ratio / 2, min(shape) - r))[::-1]
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    return scaled_core(shape, scale * np.concatenate([head, tail]), rng.integers(2**32)), r
+
+
+class TestGramTruncation:
+    """``_gram_truncated``, the Rayleigh-Ritz step of every engine but ``gn``:
+    one ``eigh`` of the core's shorter-side Gram, lifted to the other side,
+    or LAPACK's truncation where lambda_r <= _GRAM_FLOOR lambda_1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=gram_cores())
+    def test_agrees_with_lapack_above_the_floor(self, case):
+        core, r = case
+        with pytest.MonkeyPatch.context() as patch:
+            _, cores, lapack = record_gram_truncations(patch)
+            got = lrap.methods._gram_truncated(core, r)
+        assert cores == [core.shape] and lapack == []
+        want = lapack_truncation(core, r)
+        assert np.abs(got.sigma - want.sigma).max() <= 1e-13 * want.sigma[0]
+        dense = want.reconstruct()
+        assert np.linalg.norm(got.reconstruct() - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert (np.diff(got.sigma) <= 0).all()
+        # The eigenvectors are orthonormal to rounding; the lift loses
+        # (sigma_1 / sigma_r)^2 eps, 2.5e5 eps at sigma_r / sigma_1 = 2e-3.
+        eigenvectors, lifted = (got.u, got.v) if core.shape[0] < core.shape[1] else (got.v, got.u)
+        assert np.linalg.norm(eigenvectors.T @ eigenvectors - np.eye(r)) <= 1e-13
+        assert np.linalg.norm(lifted.T @ lifted - np.eye(r)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (20, 20)], ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("case", ["steep", "deficient", "zero"])
+    def test_below_the_floor_takes_lapack(self, shape, case, monkeypatch):
+        r = 6
+        sigma = {
+            "steep": np.geomspace(1.0, 5e-4, r),  # lambda_r / lambda_1 = 2.5e-7
+            "deficient": np.linspace(1.0, 0.5, r - 2),
+            "zero": np.zeros(0),
+        }[case]
+        core = scaled_core(shape, sigma, seed=sum(shape))
+        grams, cores, lapack = record_gram_truncations(monkeypatch)
+        got = lrap.methods._gram_truncated(core, r)
+        assert (grams, cores, lapack) == ([(min(shape),) * 2], [shape], [shape])
+        want = svd_truncated(core, r)
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@st.composite
+def deficient_targets(draw):
+    """A nonnegative target of rank q < r, tall, wide or square, and r."""
+    small = draw(st.integers(3, 24))
+    large = draw(st.integers(small + 1, 40))
+    m, n = draw(st.sampled_from([(large, small), (small, large), (small, small)]))
+    r = draw(st.integers(2, min(m, n)))
+    q = draw(st.integers(1, r - 1))
+    return nonnegative_rank_r(m, n, q, seed=draw(st.integers(0, 2**32))), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=deficient_targets(), seed=st.integers(0, 2**32))
+def test_every_engine_reproduces_a_target_of_rank_below_r(case, seed):
+    """Each engine's run from its own start ends at the rank-q target.
+
+    The sketches are Gaussian and oversampled, as the sketch families and
+    sizes that fill rank q here are, so the property tests the rank of the
+    target, not the conditioning of a small sketch.  ``gn``'s X Psi, and
+    ``tropp``'s sketches where k > q, have rank q, so a sketch that
+    collapses twice may raise ``SketchCollapseError`` there.
+    """
+    target, r = case
+    m = target.shape[0]
+    k = min(r + 2, m)
+    sketch = SketchSpec(kind="gaussian", seed=seed)
+    specs = (
+        MethodSpec(method="svd", r=r, s=3),
+        MethodSpec(method="tangent", r=r, s=3),
+        MethodSpec(method="hmt", r=r, k=k, s=3, sketch=sketch),
+        MethodSpec(method="tropp", r=r, k=k, l=2 * k + 1, s=3, sketch=sketch),
+        MethodSpec(method="gn", r=r, l=2 * r + 1, s=3, sketch=sketch),
+    )
+    for spec in specs:
+        try:
+            _, trace = run_method(initialize(target, spec), spec, target=target)
+        except SketchCollapseError:
+            assert spec.method in ("gn", "tropp")
+            continue
+        assert trace[-1].rel_frobenius <= 1e-12, spec.method
 
 
 class TestRunMethod:

@@ -294,8 +294,16 @@ class TestLoadImagePgm:
             (b"P2\n2 1\n10\n5 11\n", "PGM pixel value outside [0, maxval]"),
             (b"P2\n2 1\n10\n5 -1\n", "PGM pixel value outside [0, maxval]"),
             (b"P2\n1 1\n255\n1234567890123456789012345\n", "PGM pixel value outside [0, maxval]"),
+            # Signed tokens past int64 take the split parse, which clips them.
+            (b"P2\n2 1\n255\n+1234567890123456789012345 3\n", "PGM pixel value outside [0, maxval]"),
+            (b"P2\n2 1\n255\n3 -1234567890123456789012345\n", "PGM pixel value outside [0, maxval]"),
+            (b"P2\n2 2\n255\n+1234567890123456789012345 3\n", "PGM payload has 2 pixels, expected 4"),
+            (b"P2\n2 1\n255\n+1234567890123456789012345 y\n", "malformed PGM payload: non-numeric pixel"),
         ],
-        ids=["letter", "comment", "few", "empty", "blank", "over", "negative", "25-digits"],
+        ids=[
+            "letter", "comment", "few", "empty", "blank", "over", "negative", "25-digits",
+            "signed-25-digits", "negative-25-digits", "signed-25-digits-few", "signed-25-digits-letter",
+        ],
     )
     def test_p2_payload_errors_keep_type_and_message(self, tmp_path, data, message):
         path = tmp_path / "bad.pgm"
