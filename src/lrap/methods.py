@@ -64,9 +64,11 @@ core's condition number, so where its r-th eigenvalue is at most
 rank-deficient or zero core included) it truncates a full LAPACK SVD
 instead (:func:`svd_truncated`).  ``tangent``'s bases [u q2] and [v q1]
 stay orthonormal on an iterate of numerical rank below r, where the QR of
-the part of X v outside u holds directions of rounding noise: a step whose
-lifted factors are not orthonormal to sqrt(eps) is taken again with q2 and
-q1 from the QR of [u, X v - u u^T X v] and its mirror (:func:`_complement`).
+the part of X v outside u holds directions of rounding noise: q2 and q1
+come from the QR of [u, X v - u u^T X v] and its mirror (:func:`_complement`)
+at once where that QR's R has a diagonal entry at rounding of rounding, and
+otherwise in a second step wherever the first's lifted factors are not
+orthonormal to sqrt(eps).
 """
 
 from __future__ import annotations
@@ -133,6 +135,16 @@ _GRAM_FLOOR = 1e-6
 # The largest |entry| of F^T F - I at which tangent takes its lifted
 # factors F as orthonormal.
 _ORTHOGONAL = math.sqrt(np.finfo(float).eps)
+
+# tangent takes the joined QR at once where a diagonal entry of r2 or r1 is
+# at most _NOISE_DIAGONAL ||u^T X v||_F.  A column of X v - u u^T X v is
+# rounding of its column of X v: about eps ||core|| where the base point's
+# direction is genuine and about eps^2 ||core|| where that direction's sigma
+# is itself at rounding.  eps^1.5 = 3.3e-24 lies between the entries measured
+# on a target of rank exactly r (8.5e-18 and up) and on
+# SmoluchowskiSpec(nodes=256) at r = 30-50 (8.8e-32 and down), and far below
+# those of the bench workloads (1.4e-7 and up).
+_NOISE_DIAGONAL = np.finfo(float).eps ** 1.5
 
 
 class SketchCollapseError(np.linalg.LinAlgError):
@@ -442,7 +454,8 @@ def _complement(basis, g):
     Q and R are the trailing blocks of the QR of [basis g], which has at
     most m columns, so Q is orthogonal to ``basis`` even where ``g`` is
     rank-deficient and the QR of g alone completes its range with
-    directions of rounding noise.
+    directions of rounding noise.  It takes ``np.linalg.qr``, not
+    :func:`qr_thin`, because [basis g] is wide where m < 2 r.
     """
     q, r = np.linalg.qr(np.hstack([basis, g]))
     width = basis.shape[1]
@@ -483,10 +496,15 @@ def _project_tangent(x, factors, spec: MethodSpec, iteration_seed: int):
     # iterate of numerical rank below r; its noise directions then enter the
     # top r and leave the lifted factors far from orthonormal (the Gram
     # lift alone stays within (sigma_1 / sigma_r)^2 eps <= 1e6 eps).  Only
-    # then are q2 and q1 taken from the QR of [u g2] and [v g1].
-    step = _tangent_ritz(core, u, v, qr_thin(g2), qr_thin(g1), spec.r)
-    if _orthonormal(step):
-        return step
+    # then are q2 and q1 taken from the QR of [u g2] and [v g1]: at once
+    # where r2 or r1 has a diagonal entry at rounding of rounding
+    # (_NOISE_DIAGONAL), else where the lifted factors fail the output check.
+    left, right = qr_thin(g2), qr_thin(g1)
+    noise = _NOISE_DIAGONAL * np.linalg.norm(core)
+    if min(np.diag(left[1]).min(), np.diag(right[1]).min()) > noise:
+        step = _tangent_ritz(core, u, v, left, right, spec.r)
+        if _orthonormal(step):
+            return step
     return _tangent_ritz(core, u, v, _complement(u, g2), _complement(v, g1), spec.r)
 
 
@@ -513,7 +531,7 @@ def _project_tropp(x, factors, spec: MethodSpec, iteration_seed: int):
     psi = gen_test_matrix(_iteration_sketch(spec, iteration_seed, _PSI), x.shape[1], spec.k)
     q, _ = qr_thin(apply_sketch_right(x, psi, check_finite=False))
     t_factor, pt_phi_x = _phi_side(x, q, spec, iteration_seed)
-    return _ritz(solve_triangular(t_factor, pt_phi_x), spec.r, left=q)
+    return _ritz(solve_triangular(t_factor, pt_phi_x, check_finite=False), spec.r, left=q)
 
 
 def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
@@ -522,7 +540,7 @@ def _project_gn(x, factors, spec: MethodSpec, iteration_seed: int):
     # tropp(r, l) with Z = X Psi itself in place of its orthonormal basis, and
     # no truncation: X ~ Z (Phi Z)^+ Phi X = (Z R^-1) (Q^T Phi X).
     r_factor, qt_phi_x = _phi_side(x, z, spec, iteration_seed)
-    u = solve_triangular(r_factor.T, z.T, lower=True).T
+    u = solve_triangular(r_factor.T, z.T, lower=True, check_finite=False).T
     return LowRankFactors(u=u, v=qt_phi_x.T, sigma=None)
 
 

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrap.linalg
 from lrap import LowRankFactors, MethodSpec, initialize, qr_thin, svd_truncated
 from lrap.linalg import as_matrix, lanczos_path
 from lrap.problems import gen_uniform
@@ -49,6 +50,10 @@ class TestQrThin:
         assert np.isfinite(q).all() and np.isfinite(r).all()
         assert np.linalg.norm(q @ r - a) < 1e-12
 
+    def test_no_columns(self):
+        q, r = qr_thin(np.zeros((5, 0)))
+        assert q.shape == (5, 0) and r.shape == (0, 0)
+
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError, match="rows >= cols"):
             qr_thin(np.ones((2, 3)))
@@ -56,6 +61,67 @@ class TestQrThin:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             qr_thin(np.array([[np.nan], [1.0]]))
+
+
+# The engines' panel widths (hmt, tropp, gn, tangent and Lanczos panels on the
+# bench workloads) and the widths around qr_thin's block size.
+QR_WIDTHS = (1, 2, 5, 10, 15, 16, 17, 33, 50, 60, 64, 65, 70)
+
+
+@st.composite
+def qr_inputs(draw):
+    """A tall or square matrix, full-rank or not, scaled by 2**e for e in [-500, 500]."""
+    n = draw(st.sampled_from(QR_WIDTHS))
+    m = n + draw(st.sampled_from((0, 1, 9, 45, 190)))
+    kind = draw(st.sampled_from(("full", "duplicated", "rank1", "zero")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, n))
+    if kind == "duplicated":
+        a[:, rng.integers(0, n, n // 2)] = a[:, rng.integers(0, n, n // 2)]
+    elif kind == "rank1":
+        a = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    elif kind == "zero":
+        a = np.zeros((m, n))
+    full_rank = kind == "full" or (kind in ("duplicated", "rank1") and n == 1)
+    return np.ldexp(a, draw(st.integers(-500, 500))), full_rank
+
+
+class TestQrThinProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(qr_inputs())
+    def test_contract(self, case):
+        a, full_rank = case
+        m, n = a.shape
+        q, r = qr_thin(a)
+        assert q.shape == (m, n) and r.shape == (n, n)
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
+        scale = np.abs(a).max()
+        assert np.abs(q @ r - a).max() <= 1e-13 * scale
+        assert np.array_equal(r, np.triu(r)) and (np.diag(r) >= 0).all()
+        q_again, r_again = qr_thin(a)
+        assert np.array_equal(q, q_again) and np.array_equal(r, r_again)
+        if full_rank:
+            # A full-column-rank R is unique once its diagonal is positive.
+            reference = np.linalg.qr(a)[1]
+            reference *= np.sign(np.diag(reference))[:, None]
+            assert np.linalg.norm(r - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_takes_the_blocked_lapack_pair(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            original = getattr(lrap.linalg, name)
+            return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("qr_thin reached np.linalg.qr")
+
+        monkeypatch.setattr(lrap.linalg, "dgeqrt", spy("dgeqrt"))
+        monkeypatch.setattr(lrap.linalg, "dgemqrt", spy("dgemqrt"))
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        for shape in ((256, 64), (7, 7), (30, 1)):
+            qr_thin(np.random.default_rng(0).standard_normal(shape))
+        assert calls == ["dgeqrt", "dgemqrt"] * 3
 
 
 class TestSvdTruncated:

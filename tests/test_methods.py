@@ -234,6 +234,20 @@ class TestTangentSpace:
         _, trace = run_method(initialize(target, spec), spec, target=target)
         assert trace[-1].rel_frobenius <= 1e-12
 
+    def test_one_ritz_step_per_step_below_numerical_rank_r(self, monkeypatch):
+        # There the QR of g alone has diagonal entries at rounding of
+        # rounding, so every step takes the joined QR without a first try.
+        target = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
+        spec = MethodSpec(method="tangent", r=40, s=20)
+        start = initialize(target, spec)
+        ritz, joined = [], []
+        tangent_ritz, complement = lrap.methods._tangent_ritz, lrap.methods._complement
+        monkeypatch.setattr(lrap.methods, "_tangent_ritz", lambda *a: ritz.append(1) or tangent_ritz(*a))
+        monkeypatch.setattr(lrap.methods, "_complement", lambda b, g: joined.append(1) or complement(b, g))
+        _, trace = run_method(start, spec, target=target)
+        assert len(ritz) == 20 and len(joined) == 40
+        assert trace[-1].rel_frobenius <= 1e-12
+
     def test_iterate_stays_rank_r(self):
         a = gen_uniform(40, 40, 12)
         spec = MethodSpec(method="tangent", r=6, s=10)
