@@ -43,16 +43,24 @@ SciPy's default basis, so on this path the documented start is bit for bit
 :func:`initialize`'s.  Restarted Lanczos converges at a rate set by X's r-th
 gap, so where the previous iterate Y bounds that gap the basis holds
 r + max(5, r // 8) vectors (:func:`_lanczos_width`): Y has sigma and
-numerical rank r, and ||C||_F <= sigma_r(Y) / 4, so by Weyl
+numerical rank r, and ||C||_2 <= c <= sigma_r(Y) / 4 for the O(nnz) bound
+c = min(||C||_F, sqrt(||C||_1 ||C||_inf)) (:func:`_norm_bound`), so by Weyl
 sigma_{r+1}(X) / sigma_r(X) <= 1/3.  Elsewhere, the dense target of a start
 included, it holds SciPy's default max(2 r + 1, 20).  The kernel's ARPACK
 failure is raised as ``LinAlgError`` and propagates unretried.  Where
-``5 r >= min(m, n)`` it forms X densely and takes its Gram truncation
-:func:`_gram_truncated`, which is cheaper when r is a large share of the
-shape.  On clamped uniform iterates at one BLAS thread, Lanczos with the
-narrow basis tied the Gram path near r = 64-72 at 256 x 256 and won up to
-about r = 150 at 512 x 512, where the rule switches at r = 52 and 103 (see
-README).
+``5 r >= min(m, n)`` it takes one of two dense-path routes.  Where the
+previous iterate certifies it (:func:`_warm_steps`: orthonormal factors of
+rank r that carry sigma, sigma_r / sigma_1 above the Gram floor, c <
+sigma_r(Y) / 2 and k <= ``_WARM_STEPS``), k subspace steps v <- QR(X^T (X v))
+from Y's v on the shorter side and one Rayleigh-Ritz step on X v
+(:func:`_warm_truncated`) reach X's top r without forming X; k is set a
+priori from rho = c / (sigma_r(Y) - c), which bounds both the start's angle
+(Wedin) and the gap ratio (Weyl).  Elsewhere, the start included, it forms X
+densely and takes its Gram truncation :func:`_gram_truncated`, which is
+cheaper than Lanczos when r is a large share of the shape.  On clamped
+uniform iterates at one BLAS thread, Lanczos with the narrow basis tied the
+Gram path near r = 64-72 at 256 x 256 and won up to about r = 150 at
+512 x 512, where the rule switches at r = 52 and 103 (see README).
 
 The Gram truncation is also the small SVD of the Rayleigh-Ritz step
 :func:`_ritz` that ends ``tangent``, ``hmt`` and ``tropp``: the core's top r
@@ -131,6 +139,14 @@ _BLOCK_ENTRIES = 1 << 15
 # its top r eigenvectors only where lambda_r > _GRAM_FLOOR lambda_1, that is
 # sigma_r / sigma_1 > 1e-3, and else takes the matrix's full SVD.
 _GRAM_FLOOR = 1e-6
+
+# The most subspace steps that the warm exact projection (_warm_steps) takes
+# in place of the dense path's eigh of an n x n Gram.  A step costs
+# O((m + n) r^2 + nnz(C) r).  On clamped uniform iterates at one BLAS
+# thread, the dense path cost as much as about 11 steps and a Ritz step at
+# 128 x 128 (r = 30), 9-10 at 256 x 256 (r = 64), 9 at 300 x 200 (r = 45)
+# and 11 at 512 x 512 (r = 110), so 8 is a margin below every crossover.
+_WARM_STEPS = 8
 
 # The largest |entry| of F^T F - I at which tangent takes its lifted
 # factors F as orthonormal.
@@ -419,12 +435,26 @@ def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
     return LowRankFactors(u=u, v=v, sigma=small.sigma)
 
 
+def _norm_bound(c) -> float:
+    """An upper bound on ||C||_2 of a canonical CSR ``c`` in O(nnz): the smaller
+    of ||C||_F and Schur's test sqrt(||C||_1 ||C||_inf), the largest column
+    |.|-sum times the largest row |.|-sum."""
+    magnitude = np.abs(c.data)
+    if not magnitude.size:
+        return 0.0
+    # Empty rows add nothing, so each nonempty row's sum runs to the next one's start.
+    starts = c.indptr[:-1][np.diff(c.indptr) > 0]
+    rows = np.add.reduceat(magnitude, starts).max()
+    columns = np.bincount(c.indices, weights=magnitude).max()
+    return float(min(np.linalg.norm(magnitude), math.sqrt(rows * columns)))
+
+
 def _lanczos_width(x, factors, r: int) -> int | None:
     """Lanczos vectors for X's top r: r + max(5, r // 8) where X's r-th gap is wide, else None.
 
-    X = Y + C lies within ||C||_2 <= ||C||_F of the rank-r previous iterate
-    Y, so by Weyl sigma_{r+1}(X) <= ||C||_2 and sigma_r(X) >= sigma_r(Y) -
-    ||C||_2; where ||C||_F <= sigma_r(Y) / 4 their ratio is at most 1/3.
+    X = Y + C lies within ||C||_2 <= c = :func:`_norm_bound` of the rank-r
+    previous iterate Y, so by Weyl sigma_{r+1}(X) <= c and sigma_r(X) >=
+    sigma_r(Y) - c; where c <= sigma_r(Y) / 4 their ratio is at most 1/3.
     That needs Y of numerical rank r, sigma_r(Y) above NumPy's ``matrix_rank``
     tolerance max(m, n) eps sigma_1(Y); a sigma_r at rounding bounds nothing.
     Elsewhere (a dense X, such as a start's target; a sigma-less Y or one of
@@ -434,15 +464,64 @@ def _lanczos_width(x, factors, r: int) -> int | None:
         return None
     sigma = factors.sigma
     rounding = max(x.shape) * np.finfo(float).eps * sigma[0]
-    if sigma[-1] <= rounding or 4 * np.linalg.norm(x._correction.data) > sigma[-1]:
+    if sigma[-1] <= rounding:
+        return None
+    # ||C||_F alone takes a tenth of the bound's time and decides wherever it passes.
+    if 4 * np.linalg.norm(x._correction.data) > sigma[-1] and 4 * _norm_bound(x._correction) > sigma[-1]:
         return None
     return r + max(5, r // 8)
+
+
+def _warm_steps(x, factors, r: int) -> int | None:
+    """Subspace steps that carry the previous iterate's basis to X's top r, or None.
+
+    X = Y + C with ||C||_2 <= c = :func:`_norm_bound`.  Where c < sigma_r(Y)
+    / 2, rho = c / (sigma_r(Y) - c) < 1 bounds sigma_{r+1}(X) / sigma_r(X)
+    (Weyl) and the sine of the angle between Y's and X's top-r singular
+    subspaces (Wedin), and each subspace step shrinks that angle by rho^2,
+    so k = ceil(log(eps / rho) / (2 log rho)) steps reach rounding; at least
+    one, which also makes the basis orthonormal to rounding.  That needs a
+    clamped iterate of factors that carry sigma, have rank r and pass
+    :func:`_orthonormal`, sigma_r(Y) above the Gram floor (sigma_r / sigma_1 >
+    sqrt(``_GRAM_FLOOR``)), and k <= ``_WARM_STEPS``; elsewhere None.
+    """
+    if not isinstance(x, ClampedIterate) or factors is None or factors.sigma is None or factors.rank != r:
+        return None
+    sigma = factors.sigma
+    if sigma[-1] <= math.sqrt(_GRAM_FLOOR) * sigma[0]:
+        return None
+    c = _norm_bound(x._correction)
+    if 2 * c >= sigma[-1] or not _orthonormal(factors):
+        return None
+    eps = np.finfo(float).eps
+    rho = c / (sigma[-1] - c)
+    steps = 1 if rho <= eps else math.ceil(math.log(eps / rho) / (2 * math.log(rho)))
+    return steps if steps <= _WARM_STEPS else None
+
+
+def _warm_truncated(x, factors, r: int, steps: int) -> LowRankFactors:
+    """X's rank-r truncation by ``steps`` subspace steps from the previous
+    iterate's basis on X's shorter side, then one Rayleigh-Ritz step.
+
+    For a tall or square X, v <- qr_thin(X^T (X v)) from the factors' v and
+    then :func:`_ritz` of X v lifted by v; a wide X runs the same on X^T
+    from u.  X meets only the r columns of the basis, so it is never formed.
+    """
+    wide = x.shape[0] < x.shape[1]
+    a, at, basis = (x.T, x, factors.u) if wide else (x, x.T, factors.v)
+    for _ in range(steps):
+        basis, _ = qr_thin(at @ (a @ basis))
+    small = _ritz(a @ basis, r, right=basis)
+    return LowRankFactors(u=small.v, v=small.u, sigma=small.sigma) if wide else small
 
 
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
     if lanczos_path(x.shape, r):  # the module docstring's rule and its crossovers
         return lanczos_truncated(x, r, _lanczos_width(x, factors, r))
+    steps = _warm_steps(x, factors, r)
+    if steps is not None:
+        return _warm_truncated(x, factors, r, steps)
     if isinstance(x, ClampedIterate):
         x = x.toarray()
     return _gram_truncated(x, r)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
@@ -393,12 +396,15 @@ def clamped(shape, r, box, seed):
     return x
 
 
-def svd_started(shape, r, box, seed):
-    """The rank-r truncation of a uniform target and its clamped iterate, as ``svd`` starts."""
-    factors = svd_truncated(np.random.default_rng(seed).uniform(0.0, 1.0, shape), r)
-    x = clamp_iterate(factors, box)
+def svd_started(shape, r, box, seed, steps=0, scale=1.0):
+    """The factors and clamped iterate of ``steps`` svd steps from the rank-r
+    truncation of a uniform target scaled by ``scale``, as ``svd`` starts."""
+    state = IterateState(svd_truncated(scale * np.random.default_rng(seed).uniform(0.0, 1.0, shape), r))
+    for _ in range(steps):
+        state = ap_svd_step(state, MethodSpec(method="svd", r=r, box=box))
+    x = clamp_iterate(state.factors, box)
     assert x._correction.nnz > 0
-    return factors, x
+    return state.factors, x
 
 
 DENSE_SHAPES = {"tall": (60, 40), "wide": (40, 60)}
@@ -617,6 +623,23 @@ class TestExactProjectionPaths:
         ap_svd_step(IterateState(LowRankFactors(factors.u * factors.sigma, factors.v)), spec)
         assert [call["ncv"] for call in calls] == [None] * 5
 
+    def test_schur_bound_admits_what_the_frobenius_bound_refuses(self, monkeypatch):
+        # A start whose correction is spread thin: ||C||_F > sigma_r / 4 but
+        # sqrt(||C||_1 ||C||_inf) <= sigma_r / 4, so Weyl still bounds the gap.
+        factors = svd_truncated(np.random.default_rng(55).uniform(-0.3, 1.0, KRYLOV_SHAPES["tall"]), 5)
+        x = clamp_iterate(factors)
+        c = x._correction.toarray()
+        schur = np.sqrt(np.linalg.norm(c, 1) * np.linalg.norm(c, np.inf))
+        assert np.linalg.norm(c) > factors.sigma[-1] / 4 >= schur
+        with monkeypatch.context() as patch:
+            forced = spy_lanczos(patch, default=True)
+            want = exact_projection(x, 5, factors)
+        calls = spy_lanczos(monkeypatch)
+        got = exact_projection(x, 5, factors)
+        assert [call["ncv"] for call in forced + calls] == [10, 10]
+        assert_same_truncation(got, want)
+        assert_same_truncation(got, lapack_truncation(x.toarray(), 5))
+
     def test_svd_iterations_make_at_most_r_plus_10_gram_products(self, monkeypatch):
         # SciPy's default basis of 2 r + 1 = 21 vectors takes 22 products.
         target = smoluchowski_solution(SmoluchowskiSpec(nodes=256))
@@ -645,6 +668,146 @@ class TestExactProjectionPaths:
                 outputs.append(out)
             for name in ("trial_0.csv", "trial_1.csv", "trial_2.csv", "mean.csv", "summary.json"):
                 assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A canonical CSR matrix: empty, one entry, or random, of any shape,
+    one row and one column included, with entries over 2**-30 to 2**30."""
+    shape = draw(st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    shape = draw(st.sampled_from([shape, (1, shape[1]), (shape[0], 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 31, shape)
+    kind = draw(st.sampled_from(["empty", "one", "random"]))
+    if kind == "empty":
+        values[:] = 0.0
+    elif kind == "one":
+        values[np.arange(values.size).reshape(shape) != rng.integers(values.size)] = 0.0
+    else:
+        values[rng.random(shape) >= draw(st.floats(0.0, 1.0))] = 0.0
+    return scipy.sparse.csr_array(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=sparse_matrices())
+def test_norm_bound_lies_between_the_two_norm_and_the_frobenius_norm(c):
+    dense = c.toarray()
+    bound = lrap.methods._norm_bound(c)
+    # ||C||_2 = ||C||_F for one row or column, and the three are rounded
+    # sums of the same squares taken in different orders, an ulp or two apart.
+    rounding = 4 * np.finfo(float).eps
+    assert np.linalg.norm(dense, 2) * (1 - rounding) <= bound <= np.linalg.norm(dense) * (1 + rounding)
+
+
+WARM_SHAPES = {"tall": (60, 40), "wide": (40, 60), "square": (40, 40)}
+
+
+def certified_steps(x, factors):
+    """The warm path's step count, from dense norms of the correction."""
+    c = x._correction.toarray()
+    bound = min(np.linalg.norm(c), np.sqrt(np.linalg.norm(c, 1) * np.linalg.norm(c, np.inf)))
+    rho = bound / (factors.sigma[-1] - bound)
+    eps = np.finfo(float).eps
+    return max(1, math.ceil(math.log(eps / rho) / (2 * math.log(rho))))
+
+
+def cold_projection(x, r):
+    return lrap.methods._gram_truncated(x.toarray(), r)
+
+
+class TestWarmExactProjection:
+    """On the dense path, ``svd`` carries the previous iterate's basis to
+    X's top r by the certified number of subspace steps and one Ritz step,
+    where the factors and the correction admit it, and else eigendecomposes
+    the n x n Gram of the dense X as before."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(list(WARM_SHAPES.values())),
+        hi=st.sampled_from([np.inf, 1.0]),
+        steps=st.integers(1, 3),
+        exponent=st.integers(-200, 200),
+        seed=st.integers(0, 2**16),
+    )
+    def test_agrees_with_the_cold_path(self, shape, hi, steps, exponent, seed):
+        scale = 2.0**exponent
+        factors, x = svd_started(shape, 8, BoxBounds(0.0, scale * hi), seed, steps, scale)
+        assume(lrap.methods._warm_steps(x, factors, 8) is not None)
+        assert_same_truncation(exact_projection(x, 8, factors), cold_projection(x, 8))
+
+    @pytest.mark.parametrize("shape", WARM_SHAPES.values(), ids=WARM_SHAPES.keys())
+    def test_takes_the_certified_steps_and_one_small_gram(self, shape, monkeypatch):
+        factors, x = svd_started(shape, 8, BOXES[0], seed=3, steps=1)
+        steps = certified_steps(x, factors)
+        assert 1 < steps <= lrap.methods._WARM_STEPS
+        qrs, qr = [], lrap.methods.qr_thin
+        monkeypatch.setattr(lrap.methods, "qr_thin", lambda a: qrs.append(a.shape) or qr(a))
+        grams, cores, lapack = record_gram_truncations(monkeypatch)
+        got = exact_projection(x, 8, factors)
+        assert qrs == [(min(shape), 8)] * steps
+        assert (grams, cores, lapack) == ([(8, 8)], [(max(shape), 8)], [])
+        assert_same_truncation(got, lapack_truncation(x.toarray(), 8))
+
+    @pytest.mark.parametrize(
+        "case", ["sigma-less", "rank", "not orthonormal", "gram floor", "steps", "far", "no factors"]
+    )
+    def test_each_guard_gives_the_cold_path(self, case, monkeypatch):
+        r = 8
+        factors, x = svd_started(WARM_SHAPES["tall"], r, BOXES[0], seed=3, steps=1)
+        assert lrap.methods._warm_steps(x, factors, r) is not None
+        if case == "sigma-less":
+            factors = LowRankFactors(factors.u * factors.sigma, factors.v)
+        elif case == "rank":
+            r += 1
+        elif case == "not orthonormal":
+            u = factors.u + 1e-6 * np.random.default_rng(4).standard_normal(factors.u.shape)
+            factors = LowRankFactors(u, factors.v, factors.sigma)
+            x = clamp_iterate(factors)
+        elif case == "gram floor":
+            # A positive Y, so C = 0, with sigma_r / sigma_1 at the floor.
+            rng = np.random.default_rng(5)
+            u, v = (qr_thin(np.hstack([np.ones((k, 1)), rng.standard_normal((k, r - 1))]))[0] for k in (60, 40))
+            sigma = np.concatenate([[1.0], np.geomspace(1e-2, 2e-3, r - 2), [1e-3]])
+            above = LowRankFactors(u, v, np.append(sigma[:-1], 1.01e-3))
+            assert lrap.methods._warm_steps(clamp_iterate(above), above, r) == 1
+            factors = LowRankFactors(u, v, sigma)
+            x = clamp_iterate(factors)
+            assert x._correction.nnz == 0
+        elif case == "steps":
+            monkeypatch.setattr(lrap.methods, "_WARM_STEPS", certified_steps(x, factors) - 1)
+        elif case == "far":
+            rng = np.random.default_rng(2)
+            u, v = (qr_thin(rng.standard_normal((rows, r)))[0] for rows in (60, 40))
+            factors = LowRankFactors(u, v, np.linspace(2.0, 1.0, r))
+            x = clamp_iterate(factors)
+            assert 2 * lrap.methods._norm_bound(x._correction) >= factors.sigma[-1]
+        else:
+            factors = None
+        assert lrap.methods._warm_steps(x, factors, r) is None
+        got, want = exact_projection(x, r, factors), cold_projection(x, r)
+        for name in ("u", "v", "sigma"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_run_matches_the_cold_path_to_rounding(self, monkeypatch):
+        target = gen_uniform(256, 256, 11)
+        spec = MethodSpec(method="svd", r=64, s=10)
+        calls, warm = [], lrap.methods._warm_truncated
+        monkeypatch.setattr(lrap.methods, "_warm_truncated", lambda *a: calls.append(a[3]) or warm(*a))
+        _, got = run_method(svd_truncated(target, 64), spec, target)
+        assert len(calls) == 10
+        monkeypatch.setattr(lrap.methods, "_WARM_STEPS", 0)
+        _, want = run_method(svd_truncated(target, 64), spec, target)
+        assert len(calls) == 10
+        for a, b in zip(got, want):
+            assert a.iteration == b.iteration
+            assert a.neg_density == b.neg_density and a.over_density == b.over_density
+            for name in ("rel_frobenius", "rel_chebyshev"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * getattr(b, name)
+        # The violation magnitudes fall a thousandfold over the run while their
+        # rounding does not, so they agree to 1e-12 of their first value.
+        for name in ("neg_frobenius", "neg_chebyshev", "over_frobenius", "over_chebyshev"):
+            scale = getattr(want[0], name)
+            assert all(abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * scale for a, b in zip(got, want))
 
 
 def scaled_core(shape, sigma, seed):
