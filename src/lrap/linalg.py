@@ -179,14 +179,15 @@ def lanczos_truncated(x, r: int, ncv: int | None = None) -> LowRankFactors:
     (X^T Q)^T or X Q, lifted by Q, gives the factors.
 
     ``x`` is an (m, n) float64 array or any operator with ``shape``, ``@``
-    and ``.T``, taken as it is.  An ARPACK failure (a Gram that is zero to
-    rounding, say) is raised as ``np.linalg.LinAlgError``.
+    and ``.T``, taken as it is; a clamped iterate's ``.T`` costs no copy, its
+    correction's transpose being a CSC view.  An ARPACK failure (a Gram that
+    is zero to rounding, say) is raised as ``np.linalg.LinAlgError``.
     """
     # Imported here: only a Lanczos truncation loads ARPACK.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     m, n = x.shape
-    # Taken once, so that the products are X B or X^T B, none the slow dense-CSR A C.
+    # Taken once, so that the products are X B or X^T B, none the slow dense-sparse A C.
     xt = x.T
 
     def gram(b):

@@ -25,42 +25,27 @@ The clamped iterate X = Pi_box(Y) of the low-rank Y = u diag(sigma) v.T is
 never stored densely: it is Y plus a sparse correction that is nonzero only
 where Y leaves the box (:class:`ClampedIterate`).  One row-blocked pass over
 Y finds that correction and the iteration's metrics; the engines use X only
-through the products ``X @ B`` and ``A @ X``, and, on ``svd``'s Lanczos
-path, ``X.T @ B`` through the transposed iterate :attr:`ClampedIterate.T`.
+through the products ``X @ B`` and ``A @ X``, and, in ``svd``'s exact
+projection, ``X.T @ B`` through the transposed iterate :attr:`ClampedIterate.T`.
 Each product is taken in the order that multiplies X by the narrowest
 factor.  ``tropp`` and ``gn`` share one Phi step, :func:`_phi_side`, which
 forms Q^T (Phi X) as (Q^T Phi) X, so X meets k or r rows, not l; ``tropp``
 hands it the orthonormal basis of X Psi, ``gn`` X Psi itself.
 
-``svd``'s exact projection, which also starts ``svd`` and ``tangent``, takes
-one of two paths by one fixed rule, :func:`~lrap.linalg.lanczos_path`.
-Where ``5 r < min(m, n)`` it is :func:`~lrap.linalg.lanczos_truncated`, the
-Lanczos kernel of ``linalg``: ARPACK's ``eigsh`` (restarted Lanczos) on the
-Gram matrix of the shorter side, X X^T for a wide X and X^T X otherwise, as
-X (X^T B) or X^T (X B), a QR of the Lanczos basis Q and one Rayleigh-Ritz
-step on (X^T Q)^T or X Q.  :func:`svd_truncated` runs the same kernel with
-SciPy's default basis, so on this path the documented start is bit for bit
-:func:`initialize`'s.  Restarted Lanczos converges at a rate set by X's r-th
-gap, so where the previous iterate Y bounds that gap the basis holds
-r + max(5, r // 8) vectors (:func:`_lanczos_width`): Y has sigma and
-numerical rank r, and ||C||_2 <= c <= sigma_r(Y) / 4 for the O(nnz) bound
-c = min(||C||_F, sqrt(||C||_1 ||C||_inf)) (:func:`_norm_bound`), so by Weyl
-sigma_{r+1}(X) / sigma_r(X) <= 1/3.  Elsewhere, the dense target of a start
-included, it holds SciPy's default max(2 r + 1, 20).  The kernel's ARPACK
-failure is raised as ``LinAlgError`` and propagates unretried.  Where
-``5 r >= min(m, n)`` it takes one of two dense-path routes.  Where the
-previous iterate certifies it (:func:`_warm_steps`: orthonormal factors of
-rank r that carry sigma, sigma_r / sigma_1 above the Gram floor, c <
-sigma_r(Y) / 2 and k <= ``_WARM_STEPS``), k subspace steps v <- QR(X^T (X v))
-from Y's v on the shorter side and one Rayleigh-Ritz step on X v
-(:func:`_warm_truncated`) reach X's top r without forming X; k is set a
-priori from rho = c / (sigma_r(Y) - c), which bounds both the start's angle
-(Wedin) and the gap ratio (Weyl).  Elsewhere, the start included, it forms X
-densely and takes its Gram truncation :func:`_gram_truncated`, which is
-cheaper than Lanczos when r is a large share of the shape.  On clamped
-uniform iterates at one BLAS thread, Lanczos with the narrow basis tied the
-Gram path near r = 64-72 at 256 x 256 and won up to about r = 150 at
-512 x 512, where the rule switches at r = 52 and 103 (see README).
+``svd``'s exact projection, which also starts ``svd`` and ``tangent``, reads
+one certificate from the previous iterate Y (:func:`_certificate`): where Y
+carries sigma and has rank r, the O(nnz) bound c >= ||C||_2
+(:func:`_norm_bound`) bounds X's r-th gap (Weyl) and the angle between Y's
+and X's top-r subspaces (Wedin), which sizes the Lanczos basis and the k
+subspace steps that carry Y's basis to X's top r.  It then takes the cheapest
+route by a price of shapes, r, nnz(C), k and the Lanczos width
+(:func:`_cheapest`): the warm route :func:`_warm_truncated`, k steps
+v <- QR(X^T (X v)) and one Rayleigh-Ritz step, none forming X; or the cold
+route that :func:`~lrap.linalg.lanczos_path` picks, Lanczos
+(:func:`~lrap.linalg.lanczos_truncated`, also :func:`svd_truncated`'s kernel,
+so the documented start is bit for bit :func:`initialize`'s) where
+``5 r < min(m, n)`` and else the Gram truncation of the dense X.  Lanczos's
+ARPACK failure is raised as ``LinAlgError`` and propagates unretried.
 
 The Gram truncation is also the small SVD of the Rayleigh-Ritz step
 :func:`_ritz` that ends ``tangent``, ``hmt`` and ``tropp``: the core's top r
@@ -140,13 +125,14 @@ _BLOCK_ENTRIES = 1 << 15
 # sigma_r / sigma_1 > 1e-3, and else takes the matrix's full SVD.
 _GRAM_FLOOR = 1e-6
 
-# The most subspace steps that the warm exact projection (_warm_steps) takes
-# in place of the dense path's eigh of an n x n Gram.  A step costs
-# O((m + n) r^2 + nnz(C) r).  On clamped uniform iterates at one BLAS
-# thread, the dense path cost as much as about 11 steps and a Ritz step at
-# 128 x 128 (r = 30), 9-10 at 256 x 256 (r = 64), 9 at 300 x 200 (r = 45)
-# and 11 at 512 x 512 (r = 110), so 8 is a margin below every crossover.
-_WARM_STEPS = 8
+# Prices of the exact projection's routes (_cheapest), in microseconds at one
+# BLAS thread: flops per microsecond of dense products and QR, of CSR products
+# with r columns and with one; the fixed cost of a product, of a QR and of an
+# ARPACK step besides its two products; the flops of an n x n eigh over n^3.
+# Fitted to timed svd iterates from 60 x 40 to 1024 x 1024 (see README); the
+# eigh's 9, below its timed 13, keeps uniform256 at the old k <= 8.
+_GEMM, _CSR, _CSR_VECTOR = 40e3, 4e3, 2.5e3
+_CALL, _QR_CALL, _ARPACK, _EIGH = 10.0, 40.0, 30.0, 9.0
 
 # The largest |entry| of F^T F - I at which tangent takes its lifted
 # factors F as orthonormal.
@@ -249,7 +235,9 @@ class ClampedIterate:
     A @ C``; neither forms X.  ``__array_ufunc__ = None`` makes ``A @ X``
     with an ndarray ``A`` defer to :meth:`__rmatmul__`, which pays SciPy's
     dense-CSR rate for ``A @ C``; a caller with many left products takes
-    :attr:`T` once and multiplies ``X.T @ B`` instead, a CSR product.
+    :attr:`T` once and multiplies ``X.T @ B`` instead, whose C^T is SciPy's
+    CSC view of C: no copy, and the same sums in the same order as a CSR of
+    C^T, so the same bits.
 
     ``errors`` holds the relative Frobenius and Chebyshev errors of Y
     against the target of :func:`clamp_iterate` (None without one), and
@@ -276,8 +264,8 @@ class ClampedIterate:
 
     @property
     def T(self) -> ClampedIterate:
-        """X^T as a clamped iterate of its own: views of the factors, and C^T built as a CSR."""
-        left, right, correction = self._right.T, self._left.T, self._correction.T.tocsr()
+        """X^T as a clamped iterate of its own: views of the factors and of C, C^T a CSC."""
+        left, right, correction = self._right.T, self._left.T, self._correction.T
         transposed = not self._transposed
         return ClampedIterate(left, right, self._box, correction, self.errors, self.violations, transposed)
 
@@ -449,54 +437,65 @@ def _norm_bound(c) -> float:
     return float(min(np.linalg.norm(magnitude), math.sqrt(rows * columns)))
 
 
-def _lanczos_width(x, factors, r: int) -> int | None:
-    """Lanczos vectors for X's top r: r + max(5, r // 8) where X's r-th gap is wide, else None.
+def _certificate(x, factors, r: int) -> tuple[int | None, int | None]:
+    """The Lanczos width and the warm route's step count that the previous iterate certifies.
 
-    X = Y + C lies within ||C||_2 <= c = :func:`_norm_bound` of the rank-r
-    previous iterate Y, so by Weyl sigma_{r+1}(X) <= c and sigma_r(X) >=
-    sigma_r(Y) - c; where c <= sigma_r(Y) / 4 their ratio is at most 1/3.
-    That needs Y of numerical rank r, sigma_r(Y) above NumPy's ``matrix_rank``
-    tolerance max(m, n) eps sigma_1(Y); a sigma_r at rounding bounds nothing.
-    Elsewhere (a dense X, such as a start's target; a sigma-less Y or one of
-    another rank; an X far from rank r) None keeps SciPy's max(2 r + 1, 20).
+    X = Y + C lies within ||C||_2 <= c = :func:`_norm_bound` of the rank-r Y.
+    That needs a clamped iterate of factors that carry sigma and have rank r,
+    with sigma_r(Y) above NumPy's ``matrix_rank`` tolerance max(m, n) eps
+    sigma_1; elsewhere (a start's dense target included) both are None.  By
+    Weyl sigma_{r+1}(X) <= c and sigma_r(X) >= sigma_r(Y) - c, so where c <=
+    sigma_r(Y) / 4 their ratio is at most 1/3 and Lanczos takes r + max(5,
+    r // 8) vectors (else None, SciPy's max(2 r + 1, 20)).  Where c <
+    sigma_r(Y) / 2, rho = c / (sigma_r(Y) - c) also bounds the sine of the
+    angle between Y's and X's top-r subspaces (Wedin), and each subspace step
+    shrinks it by rho^2, so k = ceil(log(eps / rho) / (2 log rho)) steps, at
+    least one, reach rounding; that also needs sigma_r / sigma_1 above the
+    Gram floor's 1e-3 and factors that pass :func:`_orthonormal` (else None).
+    Where no k can be certified, ||C||_F, a tenth of the bound's time, is c
+    wherever it is at most sigma_r(Y) / 4.
     """
     if not isinstance(x, ClampedIterate) or factors is None or factors.sigma is None or factors.rank != r:
-        return None
-    sigma = factors.sigma
-    rounding = max(x.shape) * np.finfo(float).eps * sigma[0]
-    if sigma[-1] <= rounding:
-        return None
-    # ||C||_F alone takes a tenth of the bound's time and decides wherever it passes.
-    if 4 * np.linalg.norm(x._correction.data) > sigma[-1] and 4 * _norm_bound(x._correction) > sigma[-1]:
-        return None
-    return r + max(5, r // 8)
-
-
-def _warm_steps(x, factors, r: int) -> int | None:
-    """Subspace steps that carry the previous iterate's basis to X's top r, or None.
-
-    X = Y + C with ||C||_2 <= c = :func:`_norm_bound`.  Where c < sigma_r(Y)
-    / 2, rho = c / (sigma_r(Y) - c) < 1 bounds sigma_{r+1}(X) / sigma_r(X)
-    (Weyl) and the sine of the angle between Y's and X's top-r singular
-    subspaces (Wedin), and each subspace step shrinks that angle by rho^2,
-    so k = ceil(log(eps / rho) / (2 log rho)) steps reach rounding; at least
-    one, which also makes the basis orthonormal to rounding.  That needs a
-    clamped iterate of factors that carry sigma, have rank r and pass
-    :func:`_orthonormal`, sigma_r(Y) above the Gram floor (sigma_r / sigma_1 >
-    sqrt(``_GRAM_FLOOR``)), and k <= ``_WARM_STEPS``; elsewhere None.
-    """
-    if not isinstance(x, ClampedIterate) or factors is None or factors.sigma is None or factors.rank != r:
-        return None
-    sigma = factors.sigma
-    if sigma[-1] <= math.sqrt(_GRAM_FLOOR) * sigma[0]:
-        return None
-    c = _norm_bound(x._correction)
-    if 2 * c >= sigma[-1] or not _orthonormal(factors):
-        return None
-    eps = np.finfo(float).eps
+        return None, None
+    sigma, eps = factors.sigma, np.finfo(float).eps
+    if sigma[-1] <= max(x.shape) * eps * sigma[0]:
+        return None, None
+    warm = sigma[-1] > math.sqrt(_GRAM_FLOOR) * sigma[0] and _orthonormal(factors)
+    c = float(np.linalg.norm(x._correction.data))
+    if warm or 4 * c > sigma[-1]:
+        c = _norm_bound(x._correction)
+    width = r + max(5, r // 8) if 4 * c <= sigma[-1] else None
+    if not warm or 2 * c >= sigma[-1]:
+        return width, None
     rho = c / (sigma[-1] - c)
-    steps = 1 if rho <= eps else math.ceil(math.log(eps / rho) / (2 * math.log(rho)))
-    return steps if steps <= _WARM_STEPS else None
+    return width, 1 if rho <= eps else math.ceil(math.log(eps / rho) / (2 * math.log(rho)))
+
+
+def _cheapest(shape: tuple[int, int], r: int, nnz: int, steps: int | None, width: int | None) -> str:
+    """The exact projection's cheapest route, "warm", "lanczos" or "dense", for X of ``shape`` and nnz(C).
+
+    The cold route is Lanczos where :func:`~lrap.linalg.lanczos_path` holds
+    and the dense Gram truncation elsewhere; the warm route competes with it
+    where ``steps`` is certified.  A warm step is two products of X with r
+    columns and a QR of the shorter side's n x r basis; Lanczos is ``width``
+    + 2 steps (SciPy's max(2 r + 1, 20) vectors for None) of two
+    single-vector products and ARPACK's own work, then a QR and an SVD of its
+    r columns, priced as four QRs; the dense route forms X, its n x n Gram
+    and the Gram's eigh.  Each route's closing product is left out of all three.
+    """
+    cold = "lanczos" if lanczos_path(shape, r) else "dense"
+    if steps is None:
+        return cold
+    m, n = shape
+    short = min(m, n)
+    qr = 8 * short * r * r / _GEMM + _QR_CALL
+    warm = steps * (2 * (2 * (m + n) * r * r / _GEMM + 2 * nnz * r / _CSR + _CALL) + qr)
+    if cold == "lanczos":
+        vector = 2 * (m + n) * r / _GEMM + 2 * nnz / _CSR_VECTOR + _CALL
+        price = ((width or max(2 * r + 1, 20)) + 2) * (2 * vector + _ARPACK) + 4 * qr
+    else:
+        price = (2 * m * n * r + m * n * short + _EIGH * short**3) / _GEMM
+    return "warm" if warm < price else cold
 
 
 def _warm_truncated(x, factors, r: int, steps: int) -> LowRankFactors:
@@ -517,11 +516,12 @@ def _warm_truncated(x, factors, r: int, steps: int) -> LowRankFactors:
 
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
     r = spec.r
-    if lanczos_path(x.shape, r):  # the module docstring's rule and its crossovers
-        return lanczos_truncated(x, r, _lanczos_width(x, factors, r))
-    steps = _warm_steps(x, factors, r)
-    if steps is not None:
+    width, steps = _certificate(x, factors, r)
+    route = _cheapest(x.shape, r, 0 if steps is None else x._correction.nnz, steps, width)
+    if route == "warm":
         return _warm_truncated(x, factors, r, steps)
+    if route == "lanczos":
+        return lanczos_truncated(x, r, width)
     if isinstance(x, ClampedIterate):
         x = x.toarray()
     return _gram_truncated(x, r)

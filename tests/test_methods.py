@@ -33,6 +33,7 @@ from lrap import (
     svd_truncated,
     tangent_space_apply,
 )
+from lrap.linalg import lanczos_path
 from lrap.methods import _PHI, _PSI, ClampedIterate, _iteration_sketch, clamp_iterate
 from lrap.sketching import SparseSignMatrix, gen_test_matrix
 from lrap.problems import gen_uniform
@@ -372,6 +373,9 @@ class TestRandomizedDetails:
             raise error
 
         state = IterateState(svd_truncated(gen_uniform(*shape, 3), 2))
+        # These failures come from svd's cold-route kernels, which the price
+        # would skip for the warm route on these small SVD-started steps.
+        cold_routes(monkeypatch)
         monkeypatch.setattr(owner, name, fail)
         with pytest.raises(np.linalg.LinAlgError) as info:
             step(state, MethodSpec(method=method, r=2))
@@ -386,6 +390,14 @@ KRYLOV_SHAPES = {"tall": (90, 40), "wide": (40, 90), "square": (60, 60)}
 
 def exact_projection(x, r, factors=None):
     return lrap.methods.ENGINES["svd"].project(x, factors, MethodSpec(method="svd", r=r), 0)
+
+
+def cold_routes(monkeypatch):
+    """Make svd's exact projection take its cold route, Lanczos or dense by
+    ``lanczos_path``, wherever the price would pick the warm one."""
+    monkeypatch.setattr(
+        lrap.methods, "_cheapest", lambda shape, r, *_: "lanczos" if lanczos_path(shape, r) else "dense"
+    )
 
 
 def clamped(shape, r, box, seed):
@@ -467,9 +479,10 @@ def assert_same_truncation(got, want):
 
 
 class TestExactProjectionPaths:
-    """``svd``'s projection runs Lanczos (ARPACK) on the products of X where
+    """``svd``'s cold route runs Lanczos (ARPACK) on the products of X where
     5 r < min(m, n), and one dense eigendecomposition of the shorter side's
-    Gram elsewhere, or a full LAPACK SVD of X where sigma_r / sigma_1 <= 1e-3."""
+    Gram elsewhere, or a full LAPACK SVD of X where sigma_r / sigma_1 <= 1e-3.
+    Tests that start from a previous iterate force it (:func:`cold_routes`)."""
 
     @pytest.mark.parametrize("box", BOXES, ids=["nonnegative", "unit"])
     @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
@@ -582,6 +595,7 @@ class TestExactProjectionPaths:
     @pytest.mark.parametrize("shape", KRYLOV_SHAPES.values(), ids=KRYLOV_SHAPES.keys())
     def test_narrow_basis_gives_the_default_truncation(self, shape, box, monkeypatch):
         factors, x = svd_started(shape, 5, box, seed=sum(shape))
+        cold_routes(monkeypatch)
         with monkeypatch.context() as patch:
             forced = spy_lanczos(patch, default=True)
             want = exact_projection(x, 5, factors)
@@ -601,6 +615,7 @@ class TestExactProjectionPaths:
         wide, _ = svd_started((250, 260), 48, BOXES[0], seed=0)
         coagulation = svd_truncated(smoluchowski_solution(SmoluchowskiSpec(nodes=256)), 40)
         taller, _ = svd_started(KRYLOV_SHAPES["tall"], 6, BOXES[0], seed=130)
+        cold_routes(monkeypatch)
         calls = spy_lanczos(monkeypatch)
         # SVD-started iterates, ||C||_F <= sigma_r / 4: r + max(5, r // 8) vectors.
         ap_svd_step(IterateState(factors), spec)
@@ -631,6 +646,7 @@ class TestExactProjectionPaths:
         c = x._correction.toarray()
         schur = np.sqrt(np.linalg.norm(c, 1) * np.linalg.norm(c, np.inf))
         assert np.linalg.norm(c) > factors.sigma[-1] / 4 >= schur
+        cold_routes(monkeypatch)
         with monkeypatch.context() as patch:
             forced = spy_lanczos(patch, default=True)
             want = exact_projection(x, 5, factors)
@@ -715,11 +731,37 @@ def cold_projection(x, r):
     return lrap.methods._gram_truncated(x.toarray(), r)
 
 
+def assert_same_trace(got, want):
+    """Traces that agree to rounding: the errors within 1e-12 relative and the
+    densities equal.  The violation magnitudes fall a thousandfold over a run
+    while their rounding does not, so they agree to 1e-12 of their first value."""
+    assert [a.iteration for a in got] == [b.iteration for b in want]
+    for a, b in zip(got, want):
+        assert a.neg_density == b.neg_density and a.over_density == b.over_density
+        for name in ("rel_frobenius", "rel_chebyshev"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * getattr(b, name)
+    for name in ("neg_frobenius", "neg_chebyshev", "over_frobenius", "over_chebyshev"):
+        scale = getattr(want[0], name)
+        assert all(abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * scale for a, b in zip(got, want))
+
+
+def spy_routes(monkeypatch):
+    """Record the route that each exact projection's price picks, with its step count."""
+    routes, cheapest = [], lrap.methods._cheapest
+
+    def spy(shape, r, nnz, steps, width):
+        routes.append((cheapest(shape, r, nnz, steps, width), steps))
+        return routes[-1][0]
+
+    monkeypatch.setattr(lrap.methods, "_cheapest", spy)
+    return routes
+
+
 class TestWarmExactProjection:
-    """On the dense path, ``svd`` carries the previous iterate's basis to
-    X's top r by the certified number of subspace steps and one Ritz step,
-    where the factors and the correction admit it, and else eigendecomposes
-    the n x n Gram of the dense X as before."""
+    """``svd`` carries the previous iterate's basis to X's top r by the
+    certified number of subspace steps and one Ritz step where the factors
+    and the correction admit it and the price of those steps is below that
+    of the cold route, Lanczos or the dense Gram truncation."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -732,14 +774,18 @@ class TestWarmExactProjection:
     def test_agrees_with_the_cold_path(self, shape, hi, steps, exponent, seed):
         scale = 2.0**exponent
         factors, x = svd_started(shape, 8, BoxBounds(0.0, scale * hi), seed, steps, scale)
-        assume(lrap.methods._warm_steps(x, factors, 8) is not None)
-        assert_same_truncation(exact_projection(x, 8, factors), cold_projection(x, 8))
+        certified = lrap.methods._certificate(x, factors, 8)[1]
+        assume(certified is not None)
+        warm = lrap.methods._warm_truncated(x, factors, 8, certified)
+        assert_same_truncation(warm, cold_projection(x, 8))
 
     @pytest.mark.parametrize("shape", WARM_SHAPES.values(), ids=WARM_SHAPES.keys())
     def test_takes_the_certified_steps_and_one_small_gram(self, shape, monkeypatch):
         factors, x = svd_started(shape, 8, BOXES[0], seed=3, steps=1)
         steps = certified_steps(x, factors)
-        assert 1 < steps <= lrap.methods._WARM_STEPS
+        assert 1 < steps == lrap.methods._certificate(x, factors, 8)[1]
+        # The price picks the dense route at these shapes; the warm one is forced.
+        monkeypatch.setattr(lrap.methods, "_cheapest", lambda *a: "warm")
         qrs, qr = [], lrap.methods.qr_thin
         monkeypatch.setattr(lrap.methods, "qr_thin", lambda a: qrs.append(a.shape) or qr(a))
         grams, cores, lapack = record_gram_truncations(monkeypatch)
@@ -749,12 +795,17 @@ class TestWarmExactProjection:
         assert_same_truncation(got, lapack_truncation(x.toarray(), 8))
 
     @pytest.mark.parametrize(
-        "case", ["sigma-less", "rank", "not orthonormal", "gram floor", "steps", "far", "no factors"]
+        "case", ["sigma-less", "rank", "not orthonormal", "gram floor", "price", "far", "no factors"]
     )
     def test_each_guard_gives_the_cold_path(self, case, monkeypatch):
         r = 8
         factors, x = svd_started(WARM_SHAPES["tall"], r, BOXES[0], seed=3, steps=1)
-        assert lrap.methods._warm_steps(x, factors, r) is not None
+        assert lrap.methods._certificate(x, factors, r)[1] is not None
+        # Warm wherever a step count is certified, so that each guard alone decides.
+        cheapest = lrap.methods._cheapest
+        monkeypatch.setattr(
+            lrap.methods, "_cheapest", lambda shape, r, nnz, steps, width: "warm" if steps else "dense"
+        )
         if case == "sigma-less":
             factors = LowRankFactors(factors.u * factors.sigma, factors.v)
         elif case == "rank":
@@ -769,12 +820,15 @@ class TestWarmExactProjection:
             u, v = (qr_thin(np.hstack([np.ones((k, 1)), rng.standard_normal((k, r - 1))]))[0] for k in (60, 40))
             sigma = np.concatenate([[1.0], np.geomspace(1e-2, 2e-3, r - 2), [1e-3]])
             above = LowRankFactors(u, v, np.append(sigma[:-1], 1.01e-3))
-            assert lrap.methods._warm_steps(clamp_iterate(above), above, r) == 1
+            assert lrap.methods._certificate(clamp_iterate(above), above, r)[1] == 1
             factors = LowRankFactors(u, v, sigma)
             x = clamp_iterate(factors)
             assert x._correction.nnz == 0
-        elif case == "steps":
-            monkeypatch.setattr(lrap.methods, "_WARM_STEPS", certified_steps(x, factors) - 1)
+        elif case == "price":
+            # At 60 x 40 an eigh of the 40 x 40 Gram costs less than the certified steps.
+            monkeypatch.setattr(lrap.methods, "_cheapest", cheapest)
+            width, steps = lrap.methods._certificate(x, factors, r)
+            assert cheapest(x.shape, r, x._correction.nnz, steps, width) == "dense"
         elif case == "far":
             rng = np.random.default_rng(2)
             u, v = (qr_thin(rng.standard_normal((rows, r)))[0] for rows in (60, 40))
@@ -783,7 +837,8 @@ class TestWarmExactProjection:
             assert 2 * lrap.methods._norm_bound(x._correction) >= factors.sigma[-1]
         else:
             factors = None
-        assert lrap.methods._warm_steps(x, factors, r) is None
+        if case != "price":
+            assert lrap.methods._certificate(x, factors, r)[1] is None
         got, want = exact_projection(x, r, factors), cold_projection(x, r)
         for name in ("u", "v", "sigma"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -791,23 +846,85 @@ class TestWarmExactProjection:
     def test_run_matches_the_cold_path_to_rounding(self, monkeypatch):
         target = gen_uniform(256, 256, 11)
         spec = MethodSpec(method="svd", r=64, s=10)
-        calls, warm = [], lrap.methods._warm_truncated
-        monkeypatch.setattr(lrap.methods, "_warm_truncated", lambda *a: calls.append(a[3]) or warm(*a))
-        _, got = run_method(svd_truncated(target, 64), spec, target)
-        assert len(calls) == 10
-        monkeypatch.setattr(lrap.methods, "_WARM_STEPS", 0)
+        with monkeypatch.context() as patch:
+            routes = spy_routes(patch)
+            _, got = run_method(svd_truncated(target, 64), spec, target)
+        assert [route for route, _ in routes] == ["warm"] * 10
+        cold_routes(monkeypatch)
         _, want = run_method(svd_truncated(target, 64), spec, target)
-        assert len(calls) == 10
-        for a, b in zip(got, want):
-            assert a.iteration == b.iteration
-            assert a.neg_density == b.neg_density and a.over_density == b.over_density
-            for name in ("rel_frobenius", "rel_chebyshev"):
-                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * getattr(b, name)
-        # The violation magnitudes fall a thousandfold over the run while their
-        # rounding does not, so they agree to 1e-12 of their first value.
-        for name in ("neg_frobenius", "neg_chebyshev", "over_frobenius", "over_chebyshev"):
-            scale = getattr(want[0], name)
-            assert all(abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * scale for a, b in zip(got, want))
+        assert_same_trace(got, want)
+
+    def test_lanczos_side_run_matches_the_lanczos_route_to_rounding(self, monkeypatch):
+        # 5 r < min(m, n): the cold route is Lanczos.  The first iterate
+        # certifies no steps, the second 18, which the price leaves to Lanczos.
+        target = np.random.default_rng(0).standard_normal((200, 150)) + 0.5
+        spec = MethodSpec(method="svd", r=10, s=12)
+        with monkeypatch.context() as patch:
+            routes = spy_routes(patch)
+            _, got = run_method(svd_truncated(target, 10), spec, target)
+        assert routes[:3] == [("lanczos", None), ("lanczos", 18), ("warm", 10)]
+        assert all(route == "warm" for route, _ in routes[2:])
+        start = svd_truncated(target, 10)
+        lanczos = spy_lanczos(monkeypatch)
+        cold_routes(monkeypatch)
+        _, want = run_method(start, spec, target)
+        # The second iterate's c lies between sigma_r / 4 and sigma_r / 2: 18 steps, SciPy's basis.
+        assert [call["ncv"] for call in lanczos] == [None, None] + [15] * 10
+        assert_same_trace(got, want)
+
+    def test_certificate_is_read_once_per_projection(self, monkeypatch):
+        counts = {"_norm_bound": 0, "_orthonormal": 0}
+
+        def counted(name):
+            original = getattr(lrap.methods, name)
+
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(lrap.methods, name, counted(name))
+        target = np.random.default_rng(0).standard_normal((200, 150)) + 0.5
+        run_method(svd_truncated(target, 10), MethodSpec(method="svd", r=10, s=6), target)
+        assert counts == {"_norm_bound": 6, "_orthonormal": 6}
+
+
+# (shape, r, nnz(C), certified steps, Lanczos width, route) at the three bench
+# workloads' shapes, from the range of nnz(C) that their svd runs see; the
+# timed crossovers lay at k = 5-6 on image512 and 3 on coag1024, and the
+# price keeps uniform256 at the k <= 8 of the rule it replaced (README).
+def bench_routes(shape, r, width, nnzs, warmest, cold, steps):
+    return [(shape, r, nnz, k, width, "warm" if k <= warmest else cold) for nnz in nnzs for k in steps]
+
+
+BENCH_ROUTES = [
+    *bench_routes((512, 512), 50, 56, (5000, 7000, 9000), 5, "lanczos", (1, 3, 5, 7, 8, 11, 20)),
+    *bench_routes((1024, 1024), 10, 15, (60000, 80000, 110000), 3, "lanczos", (1, 2, 3, 4, 5, 9, 21)),
+    *bench_routes((256, 256), 64, 72, (400, 650), 8, "dense", (1, 2, 5, 8, 9, 15, 23)),
+    ((512, 512), 50, 7000, None, 56, "lanczos"),
+    ((512, 512), 50, 7000, 5, None, "warm"),
+    ((256, 256), 64, 500, None, None, "dense"),
+]
+
+
+@pytest.mark.parametrize("shape, r, nnz, steps, width, route", BENCH_ROUTES)
+def test_route_table_at_the_bench_shapes(shape, r, nnz, steps, width, route):
+    assert lrap.methods._cheapest(shape, r, nnz, steps, width) == route
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=sparse_matrices(), columns=st.integers(0, 4), seed=st.integers(0, 2**32))
+def test_csc_view_products_are_the_csr_of_the_transposes(c, columns, seed):
+    # X.T holds C^T as SciPy's CSC view of C, not a CSR copy: the same sums in the same order.
+    b = np.random.default_rng(seed).standard_normal((c.shape[0], columns) if columns else c.shape[0])
+    x = ClampedIterate(np.zeros((c.shape[0], 1)), np.zeros((1, c.shape[1])), BOXES[0], c, None, None)
+    view = x.T._correction
+    assert view.format == "csc" and (c.nnz == 0 or np.shares_memory(view.data, c.data))
+    want = c.T.tocsr() @ b
+    assert np.array_equal(view @ b, want)
+    assert np.array_equal(x.T @ b, want)
 
 
 def scaled_core(shape, sigma, seed):
