@@ -9,11 +9,12 @@ Householder reflections (``dgeqrt``, whose compact-WY panels run as
 matrix-matrix products at the engines' 10-150 columns, where
 ``np.linalg.qr``'s ``dgeqrf`` is unblocked), with the orthogonal factor
 formed explicitly by ``dgemqrt``; restarted Lanczos (ARPACK's ``eigsh``)
-on the Gram matrix of the shorter side, ended by a Rayleigh-Ritz step, for
-a rank r that is a small share of the shape (``5 r < min(m, n)``,
-:func:`lanczos_path`); and a full bidiagonalization SVD that is truncated
-afterwards (of the transpose, for a wide input) for every other rank, for a
-badly scaled input, and wherever ARPACK fails.
+on X^T X, ended by a Rayleigh-Ritz step, for a rank r that is a small share
+of the shape (``5 r < min(m, n)``, :func:`lanczos_path`); and a full
+bidiagonalization SVD that is truncated afterwards for every other rank, for
+a badly scaled input, and wherever ARPACK fails.  Each truncation has one
+body, for a tall or square X: a wide X enters as its transpose, and its
+factors leave with u and v swapped.
 """
 
 from __future__ import annotations
@@ -169,14 +170,13 @@ def lanczos_path(shape: tuple[int, int], r: int) -> bool:
 def lanczos_truncated(x, r: int, ncv: int | None = None) -> LowRankFactors:
     """Rank-``r`` truncated SVD of ``x`` by restarted Lanczos on its Gram matrix.
 
-    ARPACK's ``eigsh`` finds the top r eigenvectors Q of the Gram of the
-    shorter side, X X^T for a wide X and X^T X otherwise, through the
-    products X (X^T B) or X^T (X B), with a basis of ``ncv`` vectors (SciPy's
+    ARPACK's ``eigsh`` finds the top r eigenvectors Q of X^T X through the
+    products X^T (X B), with a basis of ``ncv`` vectors (SciPy's
     max(2 r + 1, 20) when None) and ``tol=0``.  A fresh fixed-seed generator
     each call draws the start vector and every restart vector, so reruns and
     threads agree to the byte.  Q is orthonormalized by :func:`qr_thin`, and
-    one Rayleigh-Ritz step, :func:`svd_truncated` of the r-column core
-    (X^T Q)^T or X Q, lifted by Q, gives the factors.
+    one Rayleigh-Ritz step, :func:`svd_truncated` of the r-column core X Q,
+    lifted by Q, gives the factors.
 
     ``x`` is an (m, n) float64 array or any operator with ``shape``, ``@``
     and ``.T``, taken as it is; a clamped iterate's ``.T`` costs no copy, its
@@ -186,25 +186,24 @@ def lanczos_truncated(x, r: int, ncv: int | None = None) -> LowRankFactors:
     # Imported here: only a Lanczos truncation loads ARPACK.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    m, n = x.shape
-    # Taken once, so that the products are X B or X^T B, none the slow dense-sparse A C.
-    xt = x.T
+    wide = x.shape[0] < x.shape[1]
+    # One transpose, so that the products are X B or X^T B, none the slow dense-sparse A C.
+    a, at = (x.T, x) if wide else (x, x.T)
 
     def gram(b):
-        return x @ (xt @ b) if m < n else xt @ (x @ b)
+        return at @ (a @ b)
 
-    operator = LinearOperator((min(m, n),) * 2, matvec=gram, matmat=gram, dtype=np.float64)
+    operator = LinearOperator((a.shape[1],) * 2, matvec=gram, matmat=gram, dtype=np.float64)
     try:
         _, basis = eigsh(operator, k=r, ncv=ncv, tol=0, rng=np.random.default_rng(0))
     except ArpackError as err:  # ArpackNoConvergence included
         raise np.linalg.LinAlgError(str(err)) from err
     q, _ = qr_thin(basis)
-    # X ~ Q (Q^T X) for orthonormal left Ritz vectors Q, and X ~ (X Q) Q^T for right ones.
-    if m < n:
-        small = svd_truncated((xt @ q).T, r)
-        return LowRankFactors(u=q @ small.u, v=small.v, sigma=small.sigma)
-    small = svd_truncated(x @ q, r)
-    return LowRankFactors(u=small.u, v=q @ small.v, sigma=small.sigma)
+    # X ~ (X Q) Q^T for orthonormal right Ritz vectors Q.
+    small = svd_truncated(a @ q, r)
+    u, v = small.u, q @ small.v
+    u, v = (v, u) if wide else (u, v)
+    return LowRankFactors(u=u, v=v, sigma=small.sigma)
 
 
 def svd_truncated(a, r: int) -> LowRankFactors:
@@ -240,13 +239,10 @@ def svd_truncated(a, r: int) -> LowRankFactors:
                 return lanczos_truncated(a, r)
             except np.linalg.LinAlgError:
                 pass  # a failed Lanczos run falls through to LAPACK
-    if a.shape[0] < a.shape[1]:
-        # A wide input is factored through its transpose: LAPACK takes the
-        # F-ordered view ``a.T`` as a tall matrix and reduces it by a QR
-        # first, which beats its path for the wide matrix itself.
-        v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
-        u, vt = ut.T, v.T
-    else:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    # LAPACK reduces a tall input by a QR first, which beats its path for a wide one.
+    wide = a.shape[0] < a.shape[1]
+    u, sigma, vt = np.linalg.svd(a.T if wide else a, full_matrices=False)
     # Copies, so that the factors do not keep the whole of u and vt alive.
-    return LowRankFactors(u=u[:, :r].copy(), v=vt[:r].T.copy(), sigma=sigma[:r].copy())
+    u, v = u[:, :r].copy(), vt[:r].T.copy()
+    u, v = (v, u) if wide else (u, v)
+    return LowRankFactors(u=u, v=v, sigma=sigma[:r].copy())

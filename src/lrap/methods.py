@@ -1,67 +1,25 @@
 """Alternating-projection engines for low-rank nonnegative approximation.
 
-Five ways to realize the rank-r projection half of the iteration:
+Five ways to realize the rank-r projection half of the iteration, each an
+entry of :data:`ENGINES`:
 
-* ``svd``     -- exact truncated SVD of the clamped iterate;
+* ``svd``     -- exact truncated SVD of the clamped iterate (:func:`_project_svd`);
 * ``tangent`` -- truncated SVD restricted to the tangent space of the
-  rank-r manifold at the previous iterate (rank of the intermediate is at
-  most 2r, so only small factorizations are needed);
+  rank-r manifold at the previous iterate (:func:`_project_tangent`);
 * ``hmt``     -- randomized range-finder SVD with optional power iterations,
-  co-range sketch size ``k >= r``;
+  co-range sketch size ``k >= r`` (:func:`_project_hmt`);
 * ``tropp``   -- two-sided sketch with a pseudoinverse correction, sketch
-  sizes ``l >= k >= r``;
+  sizes ``l >= k >= r`` (:func:`_project_tropp`);
 * ``gn``      -- generalized Nystrom estimator, SVD-free, range sketch size
   ``l >= r``; in exact arithmetic gn(l) is tropp(r, l) (see README), so gn
-  takes no ``k``: an oversampled gn is tropp(r + p, l).
+  takes no ``k``: an oversampled gn is tropp(r + p, l) (:func:`_project_gn`).
 
-:data:`ENGINES` defines each one: its projection and the parameters of its
-compact form.  Each engine is exposed both as a single step acting on an
-:class:`IterateState` and through the :func:`run_method` driver, which
-records metrics.  Both clamp through :func:`clamp_iterate`; they and
-:func:`initialize` project through one dispatch, which redraws a collapsed
-sketch once before giving up.
-
-The clamped iterate X = Pi_box(Y) of the low-rank Y = u diag(sigma) v.T is
-never stored densely: it is Y plus a sparse correction that is nonzero only
-where Y leaves the box (:class:`ClampedIterate`).  One row-blocked pass over
-Y finds that correction and the iteration's metrics; the engines use X only
-through the products ``X @ B`` and ``A @ X``, and, in ``svd``'s exact
-projection, ``X.T @ B`` through the transposed iterate :attr:`ClampedIterate.T`.
-Each product is taken in the order that multiplies X by the narrowest
-factor.  ``tropp`` and ``gn`` share one Phi step, :func:`_phi_side`, which
-forms Q^T (Phi X) as (Q^T Phi) X, so X meets k or r rows, not l; ``tropp``
-hands it the orthonormal basis of X Psi, ``gn`` X Psi itself.
-
-``svd``'s exact projection, which also starts ``svd`` and ``tangent``, reads
-one certificate from the previous iterate Y (:func:`_certificate`): where Y
-carries sigma and has rank r, the O(nnz) bound c >= ||C||_2
-(:func:`_norm_bound`) bounds X's r-th gap (Weyl) and the angle between Y's
-and X's top-r subspaces (Wedin), which sizes the Lanczos basis and the k
-subspace steps that carry Y's basis to X's top r.  It then takes the cheapest
-route by a price of shapes, r, nnz(C), k and the Lanczos width
-(:func:`_cheapest`): the warm route :func:`_warm_truncated`, k steps
-v <- QR(X^T (X v)) and one Rayleigh-Ritz step, none forming X; or the cold
-route that :func:`~lrap.linalg.lanczos_path` picks, Lanczos
-(:func:`~lrap.linalg.lanczos_truncated`, also :func:`svd_truncated`'s kernel,
-so the documented start is bit for bit :func:`initialize`'s) where
-``5 r < min(m, n)`` and else the Gram truncation of the dense X.  Lanczos's
-ARPACK failure is raised as ``LinAlgError`` and propagates unretried.
-
-The Gram truncation is also the small SVD of the Rayleigh-Ritz step
-:func:`_ritz` that ends ``tangent``, ``hmt`` and ``tropp``: the core's top r
-from one LAPACK ``eigh`` of its shorter side's Gram, not a full SVD of the
-core.  The other side is lifted through the core and normalized, so it is
-orthonormal only to about (sigma_1 / sigma_r)^2 eps.  The Gram squares the
-core's condition number, so where its r-th eigenvalue is at most
-``_GRAM_FLOOR`` = 1e-6 times its largest (sigma_r / sigma_1 <= 1e-3, a
-rank-deficient or zero core included) it truncates a full LAPACK SVD
-instead (:func:`svd_truncated`).  ``tangent``'s bases [u q2] and [v q1]
-stay orthonormal on an iterate of numerical rank below r, where the QR of
-the part of X v outside u holds directions of rounding noise: q2 and q1
-come from the QR of [u, X v - u u^T X v] and its mirror (:func:`_complement`)
-at once where that QR's R has a diagonal entry at rounding of rounding, and
-otherwise in a second step wherever the first's lifted factors are not
-orthonormal to sqrt(eps).
+Each engine runs as a single step on an :class:`IterateState` and through
+the :func:`run_method` driver, which records metrics.  Both clamp through
+:func:`clamp_iterate`, which keeps X = Pi_box(Y) as a :class:`ClampedIterate`
+without forming it; they and :func:`initialize` project through one
+dispatch, :func:`_advance`.  ``tangent``, ``hmt`` and ``tropp`` end in one
+Rayleigh-Ritz step, :func:`_ritz`, on the Gram truncation :func:`_gram_truncated`.
 """
 
 from __future__ import annotations
@@ -246,12 +204,11 @@ class ClampedIterate:
 
     __array_ufunc__ = None
 
-    def __init__(self, left, right, box, correction, errors, violations, transposed=False):
+    def __init__(self, left, right, box, correction, errors, violations):
         self._left = left  # u diag(sigma), m x r
         self._right = right  # v.T, r x n
         self._box = box
         self._correction = correction
-        self._transposed = transposed  # made by T from the iterate of the clamp pass
         self.shape = (left.shape[0], right.shape[1])
         self.errors = errors
         self.violations = violations
@@ -266,22 +223,14 @@ class ClampedIterate:
     def T(self) -> ClampedIterate:
         """X^T as a clamped iterate of its own: views of the factors and of C, C^T a CSC."""
         left, right, correction = self._right.T, self._left.T, self._correction.T
-        transposed = not self._transposed
-        return ClampedIterate(left, right, self._box, correction, self.errors, self.violations, transposed)
+        return ClampedIterate(left, right, self._box, correction, self.errors, self.violations)
 
     def toarray(self) -> np.ndarray:
-        """X as one dense array: Y formed in the clamp pass's row blocks, then clamped.
-
-        A transpose forms the clamp pass's Y and returns its transpose, so
-        X.T.toarray() is X.toarray().T to the bit: BLAS may sum a product and
-        its transpose in different orders.
-        """
-        left, right = (self._right.T, self._left.T) if self._transposed else (self._left, self._right)
-        out = np.empty((left.shape[0], right.shape[1]))
+        """X as one dense array: Y formed in the clamp pass's row blocks, then clamped."""
+        out = np.empty(self.shape)
         for rows in _row_blocks(*out.shape):
-            np.matmul(left[rows], right, out=out[rows])
-        out = project_box(out, self._box)
-        return out.T if self._transposed else out
+            np.matmul(self._left[rows], self._right, out=out[rows])
+        return project_box(out, self._box)
 
 
 def _side(magnitude: np.ndarray, size: int) -> tuple[float, float, float]:
@@ -385,30 +334,33 @@ def tangent_space_apply(x, u, v) -> np.ndarray:
     return u @ utx + (xv - u @ (utx @ v)) @ v.T
 
 
-def _gram_truncated(a: np.ndarray, r: int) -> LowRankFactors:
-    """Rank-r truncated SVD of a dense ``a`` from one ``eigh`` of its shorter side's Gram.
+def _gram_truncated(x: np.ndarray, r: int) -> LowRankFactors:
+    """Rank-r truncated SVD of a dense ``x`` from one ``eigh`` of its Gram.
 
-    The top r eigenvectors E of a a^T (a wide ``a``) or a^T a (otherwise)
-    are one side's singular vectors; the other side is the lift a^T E or
-    a E, whose column norms are sigma and are divided out, and both are
-    ordered so that sigma is nonincreasing.  The Gram squares a's condition
-    number, so where lambda_r <= ``_GRAM_FLOOR`` lambda_1 (sigma_r / sigma_1
-    <= 1e-3, a rank-deficient or zero ``a`` included) this truncates
-    LAPACK's full SVD of ``a`` instead (:func:`svd_truncated`).
+    For a tall or square X, the top r eigenvectors E of X^T X are the right
+    singular vectors; the left ones are the lift X E, whose column norms are
+    sigma and are divided out, so they are orthonormal only to about
+    (sigma_1 / sigma_r)^2 eps, and both are ordered so that sigma is
+    nonincreasing.  A wide X enters as its transpose and leaves with u and v
+    swapped.  The Gram squares X's condition number, so where lambda_r <=
+    ``_GRAM_FLOOR`` lambda_1 (sigma_r / sigma_1 <= 1e-3, a rank-deficient or
+    zero X included) this returns :func:`svd_truncated` of X instead, which
+    runs Lanczos where ``5 r < min(m, n)`` and X's scale allows (as on a
+    sketched k x n core with k > 5 r) and a full LAPACK SVD elsewhere.
     """
-    m, n = a.shape
-    wide = m < n
-    values, vectors = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    wide = x.shape[0] < x.shape[1]
+    a, at = (x.T, x) if wide else (x, x.T)
+    values, vectors = np.linalg.eigh(at @ a)
     if values[-r] <= _GRAM_FLOOR * values[-1]:
-        return svd_truncated(a, r)
+        return svd_truncated(x, r)
     top = vectors[:, ::-1][:, :r]
-    lifted = a.T @ top if wide else a @ top
+    lifted = a @ top
     sigma = np.linalg.norm(lifted, axis=0)
     # Close eigenvalues may lift to norms out of order by rounding.
     order = np.argsort(-sigma, kind="stable")
-    top, lifted, sigma = top[:, order], lifted[:, order] / sigma[order], sigma[order]
-    u, v = (top, lifted) if wide else (lifted, top)
-    return LowRankFactors(u=u, v=v, sigma=sigma)
+    u, v = lifted[:, order] / sigma[order], top[:, order]
+    u, v = (v, u) if wide else (u, v)
+    return LowRankFactors(u=u, v=v, sigma=sigma[order])
 
 
 def _ritz(core, r: int, left=None, right=None) -> LowRankFactors:
@@ -452,8 +404,6 @@ def _certificate(x, factors, r: int) -> tuple[int | None, int | None]:
     shrinks it by rho^2, so k = ceil(log(eps / rho) / (2 log rho)) steps, at
     least one, reach rounding; that also needs sigma_r / sigma_1 above the
     Gram floor's 1e-3 and factors that pass :func:`_orthonormal` (else None).
-    Where no k can be certified, ||C||_F, a tenth of the bound's time, is c
-    wherever it is at most sigma_r(Y) / 4.
     """
     if not isinstance(x, ClampedIterate) or factors is None or factors.sigma is None or factors.rank != r:
         return None, None
@@ -461,9 +411,7 @@ def _certificate(x, factors, r: int) -> tuple[int | None, int | None]:
     if sigma[-1] <= max(x.shape) * eps * sigma[0]:
         return None, None
     warm = sigma[-1] > math.sqrt(_GRAM_FLOOR) * sigma[0] and _orthonormal(factors)
-    c = float(np.linalg.norm(x._correction.data))
-    if warm or 4 * c > sigma[-1]:
-        c = _norm_bound(x._correction)
+    c = _norm_bound(x._correction)
     width = r + max(5, r // 8) if 4 * c <= sigma[-1] else None
     if not warm or 2 * c >= sigma[-1]:
         return width, None
@@ -503,8 +451,9 @@ def _warm_truncated(x, factors, r: int, steps: int) -> LowRankFactors:
     iterate's basis on X's shorter side, then one Rayleigh-Ritz step.
 
     For a tall or square X, v <- qr_thin(X^T (X v)) from the factors' v and
-    then :func:`_ritz` of X v lifted by v; a wide X runs the same on X^T
-    from u.  X meets only the r columns of the basis, so it is never formed.
+    then :func:`_ritz` of X v lifted by v; a wide X enters as its transpose,
+    from the factors' u, and leaves with u and v swapped.  X meets only the
+    r columns of the basis, so it is never formed.
     """
     wide = x.shape[0] < x.shape[1]
     a, at, basis = (x.T, x, factors.u) if wide else (x, x.T, factors.v)
@@ -515,6 +464,16 @@ def _warm_truncated(x, factors, r: int, steps: int) -> LowRankFactors:
 
 
 def _project_svd(x, factors, spec: MethodSpec, iteration_seed: int):
+    """``svd``'s projection, also the start of ``svd`` and ``tangent``.
+
+    It reads one :func:`_certificate` from the previous iterate and takes
+    the route that :func:`_cheapest` prices lowest: :func:`_warm_truncated`,
+    which never forms X; Lanczos (:func:`~lrap.linalg.lanczos_truncated`,
+    also :func:`svd_truncated`'s kernel, so the documented start is bit for
+    bit :func:`initialize`'s), whose ARPACK failure is raised as
+    ``LinAlgError`` and propagates unretried; or the Gram truncation of the
+    dense X.
+    """
     r = spec.r
     width, steps = _certificate(x, factors, r)
     route = _cheapest(x.shape, r, 0 if steps is None else x._correction.nnz, steps, width)

@@ -163,7 +163,7 @@ def oriented_shapes(draw):
     st.integers(0, 2**32 - 1),
 )
 def test_transpose_is_the_clamped_transpose(box, shape, rank, with_sigma, block, seed):
-    """X.T is X^T entry for entry, and its products are those of Pi_box(Y)^T."""
+    """X.T has the shape, record and products of Pi_box(Y)^T."""
     rng = np.random.default_rng(seed)
     m, n = shape
     rank = min(rank, m, n)
@@ -174,7 +174,6 @@ def test_transpose_is_the_clamped_transpose(box, shape, rank, with_sigma, block,
         x = clamp_iterate(factors, box, np.ones(shape))
         xt = x.T
         assert xt.shape == x.shape[::-1]
-        assert np.array_equal(xt.toarray(), x.toarray().T)
     assert xt.errors == x.errors and xt.violations == x.violations
     b = rng.standard_normal((m, 3))
     scale = 1e-12 * max(np.linalg.norm(y), 1.0) * np.linalg.norm(b)

@@ -33,7 +33,7 @@ from lrap import (
     svd_truncated,
     tangent_space_apply,
 )
-from lrap.linalg import lanczos_path
+from lrap.linalg import lanczos_path, lanczos_truncated
 from lrap.methods import _PHI, _PSI, ClampedIterate, _iteration_sketch, clamp_iterate
 from lrap.sketching import SparseSignMatrix, gen_test_matrix
 from lrap.problems import gen_uniform
@@ -992,6 +992,59 @@ class TestGramTruncation:
         want = svd_truncated(core, r)
         for name in ("u", "v", "sigma"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def swapped(factors):
+    return LowRankFactors(u=factors.v, v=factors.u, sigma=factors.sigma)
+
+
+@st.composite
+def transpose_cases(draw):
+    """A tall, wide or square X, dense or (where it has a shorter side) a
+    clamped iterate, its rank-r truncation, and r <= min(m, n) - 2, the
+    most ARPACK takes.  The spectrum decays geometrically, by a factor of
+    0.3 to 0.8 a step, so it has a gap at every r and crosses the Gram
+    floor where r is large."""
+    small = draw(st.integers(3, 20))
+    large = draw(st.integers(small + 1, 40))
+    shape = draw(st.sampled_from([(large, small), (small, large), (small, small)]))
+    r = draw(st.integers(1, min(shape) - 2))
+    decay = draw(st.floats(0.3, 0.8))
+    x = scaled_core(shape, decay ** np.arange(min(shape)), draw(st.integers(0, 2**32 - 1)))
+    factors = svd_truncated(x, r)
+    if shape[0] != shape[1] and draw(st.booleans()):
+        x = clamp_iterate(factors, draw(st.sampled_from(BOXES)))
+    return x, factors, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=transpose_cases())
+def test_truncations_of_the_transpose_swap_u_and_v(case):
+    """Each rank-r truncation kernel maps X^T to its result for X with u and v
+    swapped: bit for bit where X has a shorter side, as both orientations
+    factor that side, and to rounding for a square X, which each factors as
+    it comes.  A square X's warm steps start from different bases, so
+    ``_warm_truncated`` is compared on tall and wide X only."""
+    x, factors, r = case
+    square = x.shape[0] == x.shape[1]
+    dense = x.toarray() if isinstance(x, ClampedIterate) else x
+    kernels = {
+        "svd_truncated": (dense, lambda a, f: svd_truncated(a, r)),
+        "_gram_truncated": (dense, lambda a, f: lrap.methods._gram_truncated(a, r)),
+        "lanczos_truncated": (x, lambda a, f: lanczos_truncated(a, r)),
+        "_warm_truncated": (x, lambda a, f: lrap.methods._warm_truncated(a, f, r, 2)),
+    }
+    for name, (a, kernel) in kernels.items():
+        if square and name == "_warm_truncated":
+            continue
+        got, want = kernel(a.T, swapped(factors)), swapped(kernel(a, factors))
+        if square:
+            assert np.abs(got.sigma - want.sigma).max() <= 1e-13 * want.sigma[0], name
+            reference = want.reconstruct()
+            assert np.linalg.norm(got.reconstruct() - reference) <= 1e-12 * np.linalg.norm(reference), name
+        else:
+            for field in ("u", "v", "sigma"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
 
 
 @st.composite
